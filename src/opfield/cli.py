@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import jsonio
 from .cherns import cs_complex, pairing
-from .complexes import homology, homology_dims, validate_complex
+from .complexes import homology, homology_dim, homology_dims, validate_complex
 from .envelope import ccr, envelope
 from .errors import StructuralError, TruncationOverflow
 from .exact import rat_str
@@ -96,8 +96,7 @@ def cmd_homology(args) -> int:
         _emit({"valid": False, "issues": bad}, args.out)
         return 1
     if args.degree is not None:
-        dim, _ = homology(c, args.degree)
-        _emit({"homology": {str(args.degree): dim}}, args.out)
+        _emit({"homology": {str(args.degree): homology_dim(c, args.degree)}}, args.out)
         return 0
     dims = {str(n): homology_dims(c).get(n, 0) for n in c.support}
     _emit({"homology": dims}, args.out)

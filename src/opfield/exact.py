@@ -4,13 +4,23 @@ Everything downstream (homology, normal forms, causality checks) reduces to
 rank / kernel / solve questions about sparse matrices with Fraction entries.
 No floating point is used anywhere; all results are exact.
 
-Matrices are immutable after construction.  Row-reduction results are memoized
-on the matrix object, so repeated homology queries against the same
-differential do not re-eliminate.
+Two eliminations answer two kinds of question.  ``rank`` needs only a number,
+so it pivots for sparsity (Markowitz: sparsest row, then that row's sparsest
+column), eliminates only the rows not yet used and never back-substitutes.
+``rref``, ``kernel_basis`` and ``solve_many`` need a basis, so they run
+Gauss-Jordan with pivot columns left to right; within a column the pivot is
+the sparsest row holding it.  The reduced row echelon form is unique, so the
+pivot order never shows in a result: every reported basis is the canonical
+one.
+
+Matrices are immutable after construction.  Ranks and row-reduction results
+are memoized on the matrix object, so repeated homology queries against the
+same differential do not re-eliminate.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -65,7 +75,7 @@ class RationalMatrix:
     all operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rref")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: Mapping = ()):
         if rows < 0 or cols < 0:
@@ -82,6 +92,7 @@ class RationalMatrix:
                 clean[(r, c)] = v
         self.entries = clean
         self._rref = None
+        self._rank = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -207,11 +218,14 @@ class RationalMatrix:
 def _eliminate(row_dicts: list, ncols: int):
     """In-place Gauss-Jordan over the first ``ncols`` columns.
 
-    Pivot choice is deterministic: columns are scanned left to right and the
-    pivot is the lowest-index not-yet-used row with a nonzero entry.  After
-    completion, pivot rows are fully reduced (1 at the pivot, 0 elsewhere in
-    pivot columns) and every non-pivot row is zero on all eliminated columns.
-    Returns the list of (pivot_column, row_index) pairs in column order.
+    Columns are scanned left to right.  The pivot for a column is the
+    not-yet-used row with a nonzero entry there that has the fewest nonzeros
+    (ties to the lower row index), which limits fill-in.  Which row is chosen
+    does not affect the result: after completion, pivot rows are fully
+    reduced (1 at the pivot, 0 elsewhere in pivot columns) and every
+    non-pivot row is zero on all eliminated columns, so the pivot rows are
+    the unique RREF rows.  Returns the list of (pivot_column, row_index)
+    pairs in column order.
     """
     colindex: dict = {}
     for ri, row in enumerate(row_dicts):
@@ -224,10 +238,8 @@ def _eliminate(row_dicts: list, ncols: int):
         holders = colindex.get(c)
         if not holders:
             continue
-        cand = None
-        for ri in holders:
-            if ri not in used and (cand is None or ri < cand):
-                cand = ri
+        cand = min((ri for ri in holders if ri not in used),
+                   key=lambda ri: (len(row_dicts[ri]), ri), default=None)
         if cand is None:
             continue
         used.add(cand)
@@ -287,7 +299,61 @@ def rref(m: RationalMatrix):
 
 
 def rank(m: RationalMatrix) -> int:
-    return rref(m)[0]
+    """Rank of ``m``, by a rank-only elimination with Markowitz pivoting.
+
+    Unlike ``rref``, which must take pivot columns left to right to produce
+    the canonical basis, this takes the sparsest remaining row and then that
+    row's sparsest column (ties to the lower index), eliminates the column
+    from the rows not yet used, and drops the pivot row.  The rank does not
+    depend on the pivot order, so both routines agree; this one creates far
+    less fill-in and skips normalisation and back-substitution.  A cached
+    RREF is reused when present.
+    """
+    if m._rank is None:
+        m._rank = m._rref[0] if m._rref is not None else _markowitz_rank(m)
+    return m._rank
+
+
+def _markowitz_rank(m: RationalMatrix) -> int:
+    rows = [dict() for _ in range(m.rows)]
+    colindex: dict = {}
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+        colindex.setdefault(c, set()).add(r)
+    # heap entries go stale when a row changes length; a fresh entry is
+    # pushed then, and a popped entry counts only if its length is current
+    heap = [(len(row), ri) for ri, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    nrank = 0
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows[pi]
+        if prow is None or len(prow) != length:
+            continue
+        rows[pi] = None
+        pc = min(prow, key=lambda c: (len(colindex[c]), c))
+        for c in prow:
+            colindex[c].discard(pi)
+        nrank += 1
+        holders = colindex.pop(pc)
+        inv = -1 / prow[pc]
+        for ri in holders:
+            row = rows[ri]
+            f = row.pop(pc) * inv
+            for k, v in prow.items():
+                if k == pc:
+                    continue
+                nv = row.get(k, _ZERO) + f * v
+                if nv:
+                    if k not in row:
+                        colindex[k].add(ri)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    colindex[k].discard(ri)
+            if row:
+                heapq.heappush(heap, (len(row), ri))
+    return nrank
 
 
 def kernel_basis(m: RationalMatrix) -> list:

@@ -49,8 +49,21 @@ def matrix_to_triplets(m: RationalMatrix) -> list:
     return [[r, c, rat_str(v)] for (r, c), v in sorted(m.entries.items())]
 
 
-def matrix_from_triplets(rows: int, cols: int, triplets) -> RationalMatrix:
-    return RationalMatrix(rows, cols, {(int(r), int(c)): rat(v) for r, c, v in triplets})
+def matrix_from_triplets(rows: int, cols: int, triplets, where: str) -> RationalMatrix:
+    """Parse ``[row, col, "p/q"]`` triplets; errors name ``where[i]``."""
+    entries = {}
+    for i, triplet in enumerate(triplets):
+        try:
+            r, c, v = triplet
+            key = (int(r), int(c))
+            value = rat(v)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"{where}[{i}]: {exc}") from None
+        if not (0 <= key[0] < rows and 0 <= key[1] < cols):
+            raise StructuralError(
+                f"{where}[{i}]: entry index {key} out of range for {rows}x{cols}")
+        entries[key] = value
+    return RationalMatrix(rows, cols, entries)
 
 
 def complex_to_json(c: ChainComplex) -> dict:
@@ -60,7 +73,7 @@ def complex_to_json(c: ChainComplex) -> dict:
     }
 
 
-def complex_from_json(doc: dict) -> ChainComplex:
+def complex_from_json(doc: dict, where: str = "") -> ChainComplex:
     if "dims" not in doc:
         raise StructuralError("complex document needs a 'dims' field")
     dims = {int(n): int(d) for n, d in doc["dims"].items()}
@@ -69,7 +82,7 @@ def complex_from_json(doc: dict) -> ChainComplex:
         n = int(n)
         rows = dims.get(n - 1, 0)
         cols = dims.get(n, 0)
-        diffs[n] = matrix_from_triplets(rows, cols, triplets)
+        diffs[n] = matrix_from_triplets(rows, cols, triplets, f"{where}d.{n}")
     return ChainComplex(dims, diffs)
 
 
@@ -89,12 +102,12 @@ def algebra_to_json(a: DgAlgebra) -> dict:
     return doc
 
 
-def algebra_from_json(doc: dict) -> DgAlgebra:
+def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
     for field in ("kind", "carrier"):
         if field not in doc:
             raise StructuralError(f"algebra document needs a {field!r} field")
     kind = doc["kind"]
-    carrier = complex_from_json(doc["carrier"])
+    carrier = complex_from_json(doc["carrier"], f"{where}carrier.")
     presentation = operads.named_presentation(kind)
     structure = {}
     for gen in presentation.alphabet.generators:
@@ -125,7 +138,7 @@ def presymplectic_to_json(p: PresymplecticComplex) -> dict:
 def presymplectic_from_json(doc: dict) -> PresymplecticComplex:
     if "carrier" not in doc or "omega" not in doc:
         raise StructuralError("presymplectic document needs 'carrier' and 'omega' fields")
-    carrier = complex_from_json(doc["carrier"])
+    carrier = complex_from_json(doc["carrier"], "carrier.")
     omega = {(int(i), int(j)): rat(v) for i, j, v in doc["omega"]}
     return PresymplecticComplex(carrier, omega)
 
@@ -186,7 +199,8 @@ def theory_from_json(doc: dict) -> FieldTheory:
     compose = {(g, f): gf for g, f, gf in doc.get("compose", [])}
     cat = OrthCategory(doc["objects"], morphisms, compose, orth=[
         (f1, f2) for f1, f2 in doc.get("orth", [])])
-    algebras = {obj: algebra_from_json(adoc) for obj, adoc in doc["algebras"].items()}
+    algebras = {obj: algebra_from_json(adoc, f"algebras.{obj}.")
+                for obj, adoc in doc["algebras"].items()}
     actions = {}
     for m, comps in doc.get("actions", {}).items():
         src, tgt = cat.morphisms[m]
@@ -194,7 +208,8 @@ def theory_from_json(doc: dict) -> FieldTheory:
         components = {}
         for n, triplets in comps.items():
             n = int(n)
-            components[n] = matrix_from_triplets(b.carrier.dim(n), a.carrier.dim(n), triplets)
+            components[n] = matrix_from_triplets(b.carrier.dim(n), a.carrier.dim(n), triplets,
+                                                 f"actions.{m}.{n}")
         actions[m] = ChainMap(a.carrier, b.carrier, components)
     return FieldTheory(cat, doc["kind"], algebras, actions)
 

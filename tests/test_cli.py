@@ -1,17 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 from opfield import jsonio
+from opfield.cherns import pairing
 from opfield.cli import main
+from opfield.envelope import ccr
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     proc = subprocess.run([sys.executable, "-m", "opfield.cli", *args],
-                          capture_output=True)
+                          capture_output=True, env=env)
     return proc.returncode, proc.stdout
 
 
@@ -136,6 +139,18 @@ def test_missing_file_exits_two(capsys):
     assert main(["validate", "no_such_file.json"]) == 2
 
 
+def test_malformed_matrix_entries_exit_two_with_location(tmp_path, capsys):
+    cases = [
+        ([[0, 5, "1"]], "d.1[0]: entry index (0, 5) out of range for 1x1"),
+        ([[0, 0, "1"], [0, 0, 0.5]], "d.1[1]: cannot interpret 0.5 as a rational number"),
+    ]
+    for triplets, message in cases:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"dims": {"0": 1, "1": 1}, "d": {"1": triplets}}))
+        assert main(["homology", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
 def test_invalid_complex_exits_one(tmp_path, capsys):
     doc = {"dims": {"0": 1, "1": 1, "2": 1},
            "d": {"1": [[0, 0, "1"]], "2": [[0, 0, "1"]]}}
@@ -180,3 +195,22 @@ def test_cli_determinism_on_shipped_examples():
         code2, out2 = run_cli(job)
         assert (code1, out1) == (code2, out2), job
         assert out1.endswith(b"\n")
+
+
+def test_reports_do_not_depend_on_hash_seed(tmp_path):
+    # elimination tie-breaks walk sets and dicts; the reports must not
+    surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
+    stage = tmp_path / "stage.json"
+    stage.write_text(jsonio.dumps(jsonio.complex_to_json(ccr(pairing(surface), 2).stage_complex())))
+    jobs = [
+        ["cs", "quantize", str(DATA / "annulus2.json"), "--n", "3"],
+        ["cs", "pairing", str(DATA / "torus9.json")],
+        ["homology", str(stage), "--degree", "0"],
+    ]
+    for job in jobs:
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            code, out = run_cli(job, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert code == 0, (job, out)
+            outputs.add(out)
+        assert len(outputs) == 1, job

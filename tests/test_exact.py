@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from opfield.exact import (RationalMatrix, kernel_basis, rank, rat, rat_str,
                            rref, solve, solve_many)
+from support import random_complex
 
 rationals = st.fractions(
     min_value=Fraction(-2**63), max_value=Fraction(2**63), max_denominator=2**63)
@@ -145,3 +146,112 @@ def test_matmul_shape_mismatch():
 def test_entry_bounds_checked():
     with pytest.raises(ValueError):
         RationalMatrix(2, 2, {(2, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: dense Gauss-Jordan that takes pivot columns left to
+# right and, in each column, the lowest-index unused row with a nonzero entry
+
+def reference_eliminate(rows, ncols):
+    used = set()
+    pivots = []
+    for c in range(ncols):
+        cand = next((r for r in range(len(rows)) if r not in used and rows[r][c]), None)
+        if cand is None:
+            continue
+        used.add(cand)
+        pivots.append((c, cand))
+        inv = 1 / rows[cand][c]
+        rows[cand] = [v * inv for v in rows[cand]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if r != cand and f:
+                rows[r] = [v - f * p for v, p in zip(row, rows[cand])]
+    return pivots
+
+
+def reference_rref(m):
+    rows = m.to_rows()
+    pivots = reference_eliminate(rows, m.cols)
+    entries = {(i, c): v for i, (_, ri) in enumerate(pivots)
+               for c, v in enumerate(rows[ri]) if v}
+    return len(pivots), [c for c, _ in pivots], RationalMatrix(m.rows, m.cols, entries)
+
+
+def reference_kernel(m):
+    _, pivot_cols, reduced = reference_rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f not in pivot_cols:
+            v = [Fraction(0)] * m.cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(pivot_cols):
+                v[p] = -reduced.entry(i, f)
+            basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(m, b):
+    rows = [row + [rat(x)] for row, x in zip(m.to_rows(), b)]
+    pivots = reference_eliminate(rows, m.cols)
+    pivot_rows = {ri for _, ri in pivots}
+    if any(rows[r][m.cols] for r in range(m.rows) if r not in pivot_rows):
+        return None
+    x = [Fraction(0)] * m.cols
+    for c, ri in pivots:
+        x[c] = rows[ri][m.cols]
+    return tuple(x)
+
+
+def random_sparse(rng, rows, cols, density):
+    return RationalMatrix(rows, cols, {
+        (r, c): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for r in range(rows) for c in range(cols) if rng.random() < density})
+
+
+def sample_matrices():
+    """Random sparse matrices, low-rank products, and complex differentials."""
+    rng = Random(2001)
+    out = []
+    for _ in range(40):
+        out.append(random_sparse(rng, rng.randint(0, 9), rng.randint(0, 9),
+                                 rng.choice((0.1, 0.25, 0.5))))
+    for _ in range(40):
+        inner = rng.randint(0, 4)
+        a = random_sparse(rng, rng.randint(1, 10), inner, 0.4)
+        b = random_sparse(rng, inner, rng.randint(1, 10), 0.4)
+        out.append(a @ b)
+    for _ in range(15):
+        c = random_complex(rng)
+        out.extend(c.d(n) for n in c.support)
+    return out
+
+
+def fresh(m):
+    return RationalMatrix(m.rows, m.cols, m.entries)
+
+
+def test_rank_matches_reference_elimination():
+    for m in sample_matrices():
+        assert rank(fresh(m)) == reference_rref(m)[0], m
+
+
+def test_canonical_results_equal_reference_elimination():
+    rng = Random(2002)
+    for m in sample_matrices():
+        assert rref(fresh(m)) == reference_rref(m), m
+        assert kernel_basis(fresh(m)) == reference_kernel(m), m
+        x0 = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
+        bs = [m.apply(x0), [Fraction(rng.randint(-2, 2)) for _ in range(m.rows)]]
+        assert solve_many(fresh(m), bs) == [reference_solve(m, b) for b in bs], m
+
+
+def test_rank_and_rref_agree_whichever_is_cached_first():
+    for m in sample_matrices():
+        expected = reference_rref(m)
+        rank_first = fresh(m)
+        assert rank(rank_first) == expected[0]
+        assert rref(rank_first) == expected
+        rref_first = fresh(m)
+        assert rref(rref_first) == expected
+        assert rank(rref_first) == expected[0]
