@@ -5,7 +5,10 @@ carrier's per-degree bases flattened in increasing degree order.  Structure
 maps are sparse tensors: arity-k generators map k-tuples of basis indices to
 elements.  Validation checks that every structure map is a chain map (the
 differential is a graded derivation of each generator operation) and that the
-named presentation's relations evaluate to zero on all basis tuples.
+named presentation's relations hold.  Every such identity is checked on
+tensors, from their nonzero entries (see :mod:`opfield.operads`): both sides
+are compiled into sparse tensors and compared, and the basis tuples where
+they differ are the witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError
 from .exact import RationalMatrix, rat
 from . import operads
-from .operads import named_presentation, check_relations
+from .operads import Tensor, by_output, check_relations, combine, contract, named_presentation
 
 Element = Dict[int, Fraction]
 
@@ -25,7 +28,7 @@ Element = Dict[int, Fraction]
 class GradedBasis:
     """Flattening of a complex's per-degree bases in increasing degree order."""
 
-    __slots__ = ("complex", "degrees", "offsets")
+    __slots__ = ("complex", "degrees", "offsets", "_d_columns")
 
     def __init__(self, c: ChainComplex):
         self.complex = c
@@ -34,6 +37,7 @@ class GradedBasis:
         for n in c.support:
             self.offsets[n] = len(self.degrees)
             self.degrees.extend([n] * c.dim(n))
+        self._d_columns = None
 
     @property
     def total(self) -> int:
@@ -50,19 +54,25 @@ class GradedBasis:
         return n, i - self.offsets[n]
 
     def differential(self, x: Element) -> Element:
+        columns = self._d_columns
+        if columns is None:
+            columns = self._d_columns = {}
+            for n, d in self.complex.diffs.items():
+                for (r, col), v in d.entries.items():
+                    columns.setdefault(self.offsets[n] + col, []).append((self.offsets[n - 1] + r, v))
         out: Element = {}
         for i, c in x.items():
-            n, li = self.to_local(i)
-            d = self.complex.d(n)
-            for (r, col), v in d.entries.items():
-                if col == li:
-                    j = self.to_global(n - 1, r)
-                    nv = out.get(j, Fraction(0)) + c * v
-                    if nv:
-                        out[j] = nv
-                    elif j in out:
-                        del out[j]
+            for j, v in columns.get(i, ()):
+                nv = out.get(j, Fraction(0)) + c * v
+                if nv:
+                    out[j] = nv
+                elif j in out:
+                    del out[j]
         return out
+
+    def d_rows(self) -> Dict[int, list]:
+        """The differential as an arity-1 tensor indexed by row (see operads.by_output)."""
+        return by_output({(i,): self.differential({i: Fraction(1)}) for i in range(self.total)})
 
 
 def element_add(x: Element, y: Element) -> Element:
@@ -88,6 +98,7 @@ class DgAlgebra:
 
     ``structure`` maps generator names to sparse tensors: for arity k >= 1 a
     dict {(i_1, ..., i_k): element}, for arity 0 an element (a vector).
+    Every index must name a basis vector of the carrier.
     """
 
     def __init__(self, carrier: ChainComplex, kind: str, structure: Mapping[str, object]):
@@ -101,6 +112,16 @@ class DgAlgebra:
         unknown = set(structure) - set(self.structure)
         if unknown:
             raise StructuralError(f"structure maps for unknown generators: {sorted(unknown)}")
+        total = self.basis.total
+        for gen in self.presentation.alphabet.generators:
+            for key, cell in self.tensor(gen.name).items():
+                where = f"{gen.name} entry {key}"
+                if len(key) != gen.arity:
+                    raise StructuralError(f"{where} has {len(key)} inputs, expected {gen.arity}")
+                for i in key:
+                    check_index(i, total, f"{where}: input")
+                for j in cell:
+                    check_index(j, total, f"{where}: output")
 
     # -- element protocol used by operads.evaluate ---------------------------
     def zero_element(self) -> Element:
@@ -122,6 +143,11 @@ class DgAlgebra:
 
     def basis_elements(self) -> List[Element]:
         return [{i: Fraction(1)} for i in range(self.basis.total)]
+
+    def tensor(self, name: str) -> Tensor:
+        """A generator's structure tensor; the arity-0 one is keyed by ``()``."""
+        t = self.structure[name]
+        return ({(): t} if t else {}) if self.presentation.alphabet[name].arity == 0 else t
 
     def basis_element(self, i: int) -> Element:
         return {i: Fraction(1)}
@@ -165,41 +191,36 @@ class DgAlgebra:
         return f"DgAlgebra(kind={self.kind}, dim={self.basis.total})"
 
 
+def check_index(i: int, total: int, role: str) -> None:
+    """Raise unless ``i`` names a basis vector of a ``total``-dimensional carrier."""
+    if not 0 <= i < total:
+        raise StructuralError(f"{role} index {i} " + ("< 0" if i < 0 else f">= dim {total}"))
+
+
 def _derivation_defect(a: DgAlgebra, gen_name: str) -> List[str]:
-    """Degrees where d fails the graded Leibniz rule on one structure map."""
+    """Basis tuples where d fails the graded Leibniz rule on one structure map:
+    d.g is compared with the sum over slots m of (-1)^(degrees before m)
+    g.(1 x ... d ... x 1), with d fed into slot m indexed by row."""
     gen = a.presentation.alphabet[gen_name]
-    issues = []
-    idx_range = range(a.basis.total)
     if gen.arity == 0:
         if a.differential(a.structure[gen_name]):
-            issues.append(f"{gen_name}: unit vector is not a cycle")
-        return issues
+            return [f"{gen_name}: unit vector is not a cycle"]
+        return []
+    tensor = a.tensor(gen_name)
+    d_rows = a.basis.d_rows()
+    terms = [({key: a.differential(cell) for key, cell in tensor.items()}, Fraction(1))]
+    for m in range(gen.arity):
+        slots = [None] * gen.arity
+        slots[m] = d_rows
+        terms.append((_signed(contract(tensor, slots), a.basis.degrees, m), Fraction(-1)))
+    return [f"{gen_name}: differential is not a derivation at basis tuple {key}"
+            for key in sorted(combine(terms))]
 
-    def tuples(length):
-        if length == 0:
-            yield ()
-            return
-        for head in idx_range:
-            for tail in tuples(length - 1):
-                yield (head,) + tail
 
-    for combo in tuples(gen.arity):
-        args = [a.basis_element(i) for i in combo]
-        lhs = a.differential(a.apply_generator(gen_name, args))
-        rhs: Element = {}
-        sign_parity = 0
-        for j, i in enumerate(combo):
-            darg = a.differential(a.basis_element(i))
-            if darg:
-                new_args = list(args)
-                new_args[j] = darg
-                term = a.apply_generator(gen_name, new_args)
-                sign = -1 if sign_parity % 2 else 1
-                rhs = element_add(rhs, element_scale(sign, term))
-            sign_parity += a.basis.degree_of(i)
-        if element_add(lhs, element_scale(-1, rhs)):
-            issues.append(f"{gen_name}: differential is not a derivation at basis tuple {combo}")
-    return issues
+def _signed(tensor: Tensor, degrees: Sequence[int], m: int) -> Tensor:
+    """``tensor`` with each cell times (-1)^(degrees of its first m inputs)."""
+    return {key: {j: -v for j, v in cell.items()} if sum(degrees[i] for i in key[:m]) % 2 else cell
+            for key, cell in tensor.items()}
 
 
 def validate_algebra(a: DgAlgebra) -> List[str]:
@@ -209,44 +230,28 @@ def validate_algebra(a: DgAlgebra) -> List[str]:
     issues = [f"carrier: {msg}" for msg in validate_complex(a.carrier)]
     for gen in a.presentation.alphabet.generators:
         issues.extend(_derivation_defect(a, gen.name))
-    for violation in check_relations(a.presentation, a):
-        issues.append(str(violation))
+    issues.extend(str(violation) for violation in check_relations(a.presentation, a))
     return issues
 
 
 def is_algebra_morphism(f: ChainMap, source: DgAlgebra, target: DgAlgebra) -> List[str]:
     """Check that a chain map intertwines all structure maps exactly."""
-    issues = []
     if f.source is not source.carrier and f.source.dims != source.carrier.dims:
-        issues.append("chain map source does not match algebra carrier")
-        return issues
+        return ["chain map source does not match algebra carrier"]
     if f.target is not target.carrier and f.target.dims != target.carrier.dims:
-        issues.append("chain map target does not match algebra carrier")
-        return issues
+        return ["chain map target does not match algebra carrier"]
     if source.kind != target.kind:
-        issues.append(f"kind mismatch: {source.kind} != {target.kind}")
-        return issues
-    issues.extend(f"chain map: {m}" for m in f.commutes())
+        return [f"kind mismatch: {source.kind} != {target.kind}"]
+    issues = [f"chain map: {m}" for m in f.commutes()]
 
-    def push(x: Element) -> Element:
-        return push_element(f, source.basis, target.basis, x)
-
-    total = source.basis.total
+    # f . g_src against g_tgt . (f x ... x f), with f indexed by target row
+    f_rows = push_rows(f, source.basis, target.basis)
     for gen in source.presentation.alphabet.generators:
-        def tuples(length):
-            if length == 0:
-                yield ()
-                return
-            for head in range(total):
-                for tail in tuples(length - 1):
-                    yield (head,) + tail
-
-        for combo in tuples(gen.arity):
-            args = [source.basis_element(i) for i in combo]
-            lhs = push(source.apply_generator(gen.name, args))
-            rhs = target.apply_generator(gen.name, [push(x) for x in args])
-            if element_add(lhs, element_scale(-1, rhs)):
-                issues.append(f"{gen.name} not intertwined at basis tuple {combo}")
+        lhs = {key: push_element(f, source.basis, target.basis, cell)
+               for key, cell in source.tensor(gen.name).items()}
+        rhs = contract(target.tensor(gen.name), [f_rows] * gen.arity)
+        diff = combine([(lhs, Fraction(1)), (rhs, Fraction(-1))])
+        issues.extend(f"{gen.name} not intertwined at basis tuple {key}" for key in sorted(diff))
     return issues
 
 
@@ -255,36 +260,29 @@ def push_element(f: ChainMap, source_basis: GradedBasis, target_basis: GradedBas
     out: Element = {}
     for i, c in x.items():
         n, li = source_basis.to_local(i)
-        comp = f.component(n)
-        for (r, col), v in comp.entries.items():
-            if col == li:
-                j = target_basis.to_global(n, r)
-                nv = out.get(j, Fraction(0)) + c * v
-                if nv:
-                    out[j] = nv
-                elif j in out:
-                    del out[j]
+        for r, v in f.columns(n).get(li, ()):
+            j = target_basis.to_global(n, r)
+            nv = out.get(j, Fraction(0)) + c * v
+            if nv:
+                out[j] = nv
+            elif j in out:
+                del out[j]
     return out
+
+
+def push_rows(f: ChainMap, source_basis: GradedBasis, target_basis: GradedBasis) -> Dict[int, list]:
+    """A chain map as an arity-1 tensor indexed by target row (see operads.by_output)."""
+    return by_output({(i,): push_element(f, source_basis, target_basis, {i: Fraction(1)})
+                      for i in range(source_basis.total)})
 
 
 def commutator_functor(a: DgAlgebra) -> DgAlgebra:
     """Same carrier, bracket = graded commutator of the multiplication."""
     if a.kind != "As":
         raise StructuralError(f"commutator functor expects an associative algebra, got {a.kind}")
-    bracket: Dict[Tuple[int, int], Element] = {}
-    total = a.basis.total
-    for i in range(total):
-        di = a.basis.degree_of(i)
-        for j in range(total):
-            dj = a.basis.degree_of(j)
-            fwd = a.apply_generator(operads.MU, [a.basis_element(i), a.basis_element(j)])
-            bwd = a.apply_generator(operads.MU, [a.basis_element(j), a.basis_element(i)])
-            sign = -1 if (di * dj) % 2 else 1
-            cell = element_add(fwd, element_scale(-sign, bwd))
-            if cell:
-                bracket[(i, j)] = cell
+    bracket = operads.sum_tensor(operads.commutator_sum(), a)
     return DgAlgebra(a.carrier, "uLie", {
-        operads.BRACKET: bracket,
+        operads.BRACKET: dict(sorted(bracket.items())),
         operads.ETA: dict(a.structure[operads.ETA]),
     })
 
@@ -323,32 +321,19 @@ class PresymplecticComplex:
         return acc
 
     def validate(self) -> List[str]:
+        """Witnesses of graded antisymmetry and of the chain-map condition
+        omega(dx, y) + (-1)^|x| omega(x, dy) = 0, from omega's nonzero entries."""
         issues = []
-        total = self.basis.total
-        for i in range(total):
-            di = self.basis.degree_of(i)
-            for j in range(total):
-                dj = self.basis.degree_of(j)
-                if di + dj != 0:
-                    continue
-                sign = -1 if (di * dj) % 2 else 1
-                if self.pair_basis(i, j) != -sign * self.pair_basis(j, i):
-                    issues.append(f"omega not graded-antisymmetric at ({i}, {j})")
-        # chain-map condition: omega(dx, y) + (-1)^|x| omega(x, dy) = 0
-        for i in range(total):
-            di = self.basis.degree_of(i)
-            xi = {i: Fraction(1)}
-            dxi = self.basis.differential(xi)
-            for j in range(total):
-                dj = self.basis.degree_of(j)
-                if di + dj != 1:
-                    continue
-                yj = {j: Fraction(1)}
-                dyj = self.basis.differential(yj)
-                sign = -1 if di % 2 else 1
-                value = self.pair(dxi, yj) + sign * self.pair(xi, dyj)
-                if value:
-                    issues.append(f"omega not a chain map at ({i}, {j})")
+        degrees = self.basis.degrees
+        for i, j in sorted(set(self.omega) | {(j, i) for i, j in self.omega}):
+            sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
+            if self.pair_basis(i, j) != -sign * self.pair_basis(j, i):
+                issues.append(f"omega not graded-antisymmetric at ({i}, {j})")
+        omega = {key: {0: v} for key, v in self.omega.items()}
+        d_rows = self.basis.d_rows()
+        defects = combine([(contract(omega, [d_rows, None]), Fraction(1)),
+                           (_signed(contract(omega, [None, d_rows]), degrees, 1), Fraction(1))])
+        issues.extend(f"omega not a chain map at ({i}, {j})" for i, j in sorted(defects))
         return issues
 
 

@@ -138,7 +138,7 @@ def homology_dims(c: ChainComplex) -> Dict[int, int]:
 class ChainMap:
     """Degree-wise matrices commuting with the differentials."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "_columns")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  components: Optional[Dict[int, RationalMatrix]] = None):
@@ -154,6 +154,7 @@ class ChainMap:
                 )
             if not m.is_zero():
                 self.components[n] = m
+        self._columns = {}
 
     @classmethod
     def identity(cls, c: ChainComplex) -> "ChainMap":
@@ -168,6 +169,15 @@ class ChainMap:
         if m is None:
             return RationalMatrix.zero(self.target.dim(n), self.source.dim(n))
         return m
+
+    def columns(self, n: int) -> Dict[int, List[Tuple[int, Fraction]]]:
+        """Component ``n`` indexed by column, col -> [(row, value)]; built once."""
+        cols = self._columns.get(n)
+        if cols is None:
+            cols = self._columns[n] = {}
+            for (r, c), v in self.component(n).entries.items():
+                cols.setdefault(c, []).append((r, v))
+        return cols
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
@@ -195,9 +205,6 @@ class ChainMap:
             if lhs != rhs:
                 issues.append(f"degree {n}: d.f != f.d")
         return issues
-
-    def is_valid(self) -> bool:
-        return not self.commutes()
 
 
 def induced_homology_map(f: ChainMap, n: int) -> RationalMatrix:

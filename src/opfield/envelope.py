@@ -175,12 +175,6 @@ class TruncatedEnvelope:
         self._nf_cache[word] = result
         return result
 
-    def normalize(self, x: PBWElement) -> PBWElement:
-        out: PBWElement = {}
-        for w, c in x.items():
-            out = pbw_add(out, pbw_scale(c, self.normal_form(w)))
-        return out
-
     # -- algebra operations -----------------------------------------------------
     def multiply(self, x: PBWElement, y: PBWElement) -> PBWElement:
         out: PBWElement = {}
@@ -303,10 +297,6 @@ def envelope(v: DgAlgebra, n_max: int, basis_order: Optional[Sequence[int]] = No
 
 def normal_form(word: Sequence[int], env: TruncatedEnvelope) -> PBWElement:
     return env.normal_form(word)
-
-
-def multiply(x: PBWElement, y: PBWElement, env: TruncatedEnvelope) -> PBWElement:
-    return env.multiply(x, y)
 
 
 def ccr(v: PresymplecticComplex, n_max: int) -> TruncatedEnvelope:

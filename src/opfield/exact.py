@@ -56,18 +56,6 @@ def vec(values: Iterable) -> Vector:
     return tuple(rat(v) for v in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
-def add_vectors(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def scale_vector(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 class RationalMatrix:
     """Sparse matrix over the rationals, stored as (row, col) -> Fraction.
 
@@ -146,9 +134,6 @@ class RationalMatrix:
             if cc == c:
                 col[r] = v
         return tuple(col)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import operads
-from .algebras import (DgAlgebra, element_add, element_scale,
-                       is_algebra_morphism, push_element)
+from .algebras import DgAlgebra, is_algebra_morphism, push_rows
 from .complexes import ChainMap, homology_dim, is_quasi_iso
 from .envelope import EnvelopeMap, TruncatedEnvelope, envelope
 from .errors import StructuralError, TruncationOverflow
@@ -278,35 +277,23 @@ def validate_functor(ft: FieldTheory) -> List[str]:
 def check_causality(ft: FieldTheory) -> List[CausalityViolation]:
     """Evaluate the distinguished pair on all images of orthogonal pairs.
 
-    For structure-constant theories this evaluates both arity-2 combinations
-    on every pair of basis elements; for quantized theories it checks graded
-    commutators of monomial images on every pair of monomials whose combined
-    length fits the truncation.
+    For structure-constant theories this pulls the structure tensor of the
+    difference of the two arity-2 combinations back along both actions; its
+    nonzero entries are the failing pairs of basis elements.  For quantized
+    theories it checks graded commutators of monomial images on every pair of
+    monomials whose combined length fits the truncation.
     """
     violations: List[CausalityViolation] = []
     for f1, f2 in sorted(ft.base.orth):
-        c = ft.base.target(f1)
         if ft.is_quantized:
             violations.extend(_quantized_pair_violations(ft, f1, f2))
             continue
-        a_c = ft.algebra(c)
-        a1 = ft.algebra(ft.base.source(f1))
-        a2 = ft.algebra(ft.base.source(f2))
-        act1, act2 = ft.action[f1], ft.action[f2]
+        a_c = ft.algebra(ft.base.target(f1))
+        images = [push_rows(ft.action[f], ft.algebra(ft.base.source(f)).basis, a_c.basis)
+                  for f in (f1, f2)]
         r1, r2 = ft.distinguished_pair
-        for i in range(a1.basis.total):
-            x = push_element(act1, a1.basis, a_c.basis, a1.basis_element(i))
-            if not x:
-                continue
-            for j in range(a2.basis.total):
-                y = push_element(act2, a2.basis, a_c.basis, a2.basis_element(j))
-                if not y:
-                    continue
-                lhs = operads.evaluate(r1, a_c, [x, y])
-                rhs = operads.evaluate(r2, a_c, [x, y])
-                diff = element_add(lhs, element_scale(-1, rhs))
-                if diff:
-                    violations.append(CausalityViolation((f1, f2), (i, j), diff))
+        diff = operads.contract(operads.sum_tensor(r1 - r2, a_c), images)
+        violations.extend(CausalityViolation((f1, f2), key, diff[key]) for key in sorted(diff))
     return violations
 
 
@@ -318,14 +305,14 @@ def _quantized_pair_violations(ft: FieldTheory, f1: str, f2: str) -> List[Causal
     act2: EnvelopeMap = ft.action[f2]
     out = []
     n = env_c.truncation
-    for u in env1.monomials():
+    images2 = [(v, act2.apply_word(v)) for v in env2.monomials(n - 1) if v]
+    for u in env1.monomials(n - 1):
         if not u:
             continue
-        for v in env2.monomials():
-            if not v or len(u) + len(v) > n:
+        x = act1.apply_word(u)
+        for v, y in images2:
+            if len(u) + len(v) > n:
                 continue
-            x = act1.apply_word(u)
-            y = act2.apply_word(v)
             try:
                 comm = env_c.commutator(x, y)
             except TruncationOverflow:

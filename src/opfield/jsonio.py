@@ -29,7 +29,7 @@ import json
 from typing import Dict, Tuple
 
 from . import operads
-from .algebras import DgAlgebra, PresymplecticComplex
+from .algebras import DgAlgebra, PresymplecticComplex, check_index
 from .cherns import TriangulatedSurface
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError
@@ -109,22 +109,24 @@ def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
     kind = doc["kind"]
     carrier = complex_from_json(doc["carrier"], f"{where}carrier.")
     presentation = operads.named_presentation(kind)
+    total = carrier.total_dim()
     structure = {}
     for gen in presentation.alphabet.generators:
         key = _TENSOR_KEYS[gen.name]
-        rows = doc.get(key, [])
-        if gen.arity == 0:
-            structure[gen.name] = {int(i): rat(v) for i, v in rows}
-        else:
-            tensor: Dict[Tuple[int, ...], dict] = {}
-            for row in rows:
+        tensor: Dict[Tuple[int, ...], dict] = {}
+        for r, row in enumerate(doc.get(key, [])):
+            try:
                 *idx, out, v = row
+                idx, out, value = tuple(int(i) for i in idx), int(out), rat(v)
                 if len(idx) != gen.arity:
-                    raise StructuralError(
-                        f"{key} entry {row} has {len(idx)} inputs, expected {gen.arity}")
-                cell = tensor.setdefault(tuple(int(i) for i in idx), {})
-                cell[int(out)] = rat(v)
-            structure[gen.name] = tensor
+                    raise StructuralError(f"{len(idx)} inputs, expected {gen.arity}")
+                for i in idx:
+                    check_index(i, total, "input")
+                check_index(out, total, "output")
+            except (TypeError, ValueError, ZeroDivisionError, StructuralError) as exc:
+                raise StructuralError(f"{where}{key}[{r}]: {exc}") from None
+            tensor.setdefault(idx, {})[out] = value
+        structure[gen.name] = tensor.get((), {}) if gen.arity == 0 else tensor
     return DgAlgebra(carrier, kind, structure)
 
 
@@ -139,7 +141,13 @@ def presymplectic_from_json(doc: dict) -> PresymplecticComplex:
     if "carrier" not in doc or "omega" not in doc:
         raise StructuralError("presymplectic document needs 'carrier' and 'omega' fields")
     carrier = complex_from_json(doc["carrier"], "carrier.")
-    omega = {(int(i), int(j)): rat(v) for i, j, v in doc["omega"]}
+    omega = {}
+    for r, row in enumerate(doc["omega"]):
+        try:
+            i, j, v = row
+            omega[(int(i), int(j))] = rat(v)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"omega[{r}]: {exc}") from None
     return PresymplecticComplex(carrier, omega)
 
 

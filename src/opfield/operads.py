@@ -4,12 +4,15 @@ Operations of a presented operad are represented by rooted trees over a
 generator alphabet.  Input slots carry explicit position labels (a
 permutation of 1..n), so the symmetric-group action is total and independent
 of planar order.  Relations of a presentation are pairs of formal rational
-linear combinations of trees; they are checked by evaluating both sides on
-all basis tuples of a concrete algebra rather than by symbolic rewriting.
+linear combinations of trees.  They are checked against a concrete algebra
+by compiling each tree into a sparse structure tensor (basis tuple -> value),
+contracting the generators' tensors along the tree, and comparing the two
+sides' tensors: the nonzero entries of the difference are the basis tuples
+on which the relation fails.  No basis tuple is ever enumerated.
 
 Evaluation is graded: reading the inputs in the tree's planar label order
 incurs the Koszul sign of the corresponding permutation on homogeneous
-inputs.  All generators of the named presentations are degree 0.
+inputs.  Generators are of degree 0, so they add no signs.
 """
 
 from __future__ import annotations
@@ -21,38 +24,29 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .errors import StructuralError
 from .exact import rat, rat_str
 
-DEFAULT_COLOR = "*"
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# A sparse multilinear map on basis vectors: input tuple -> {output index: coefficient}.
+Tensor = Dict[Tuple[int, ...], Dict[int, Fraction]]
 
 
 @dataclass(frozen=True)
 class Generator:
     name: str
     arity: int
-    degree: int = 0
-    in_colors: Tuple[str, ...] = None
-    out_color: str = DEFAULT_COLOR
 
     def __post_init__(self):
-        if self.in_colors is None:
-            object.__setattr__(self, "in_colors", (DEFAULT_COLOR,) * self.arity)
         if self.arity < 0:
             raise StructuralError(f"generator {self.name} has negative arity")
-        if len(self.in_colors) != self.arity:
-            raise StructuralError(f"generator {self.name}: color count != arity")
 
 
 class GeneratorAlphabet:
-    def __init__(self, generators: Sequence[Generator], colors: Optional[Iterable[str]] = None):
+    def __init__(self, generators: Sequence[Generator]):
         self.generators = tuple(generators)
         self.by_name = {g.name: g for g in self.generators}
         if len(self.by_name) != len(self.generators):
             raise StructuralError("duplicate generator names")
-        declared = set(colors) if colors is not None else {DEFAULT_COLOR}
-        for g in self.generators:
-            missing = ({g.out_color} | set(g.in_colors)) - declared
-            if missing:
-                raise StructuralError(f"generator {g.name} uses undeclared colors {sorted(missing)}")
-        self.colors = frozenset(declared)
 
     def __getitem__(self, name: str) -> Generator:
         return self.by_name[name]
@@ -61,14 +55,13 @@ class GeneratorAlphabet:
 class OperadTree:
     """Immutable rooted tree; leaves carry input position labels."""
 
-    __slots__ = ("kind", "gen", "children", "slot", "color", "arity", "_hash", "_planar")
+    __slots__ = ("kind", "gen", "children", "slot", "arity", "_hash", "_planar")
 
-    def __init__(self, kind, gen=None, children=(), slot=None, color=DEFAULT_COLOR):
+    def __init__(self, kind, gen=None, children=(), slot=None):
         self.kind = kind
         self.gen = gen
         self.children = tuple(children)
         self.slot = slot
-        self.color = color
         if kind == "leaf":
             self.arity = 1
             self._planar = (slot,)
@@ -78,7 +71,7 @@ class OperadTree:
             for ch in self.children:
                 planar.extend(ch.planar_labels())
             self._planar = tuple(planar)
-        self._hash = hash((kind, gen, self.children, slot, color))
+        self._hash = hash((kind, gen, self.children, slot))
 
     def planar_labels(self) -> Tuple[int, ...]:
         """Leaf labels in planar (left-to-right) order."""
@@ -90,45 +83,42 @@ class OperadTree:
     def __eq__(self, other):
         if not isinstance(other, OperadTree):
             return NotImplemented
-        return (self.kind, self.gen, self.children, self.slot, self.color) == \
-               (other.kind, other.gen, other.children, other.slot, other.color)
+        return (self.kind, self.gen, self.children, self.slot) == \
+               (other.kind, other.gen, other.children, other.slot)
 
     def __repr__(self):
         return format_tree(self)
 
 
-def leaf(slot: int = 1, color: str = DEFAULT_COLOR) -> OperadTree:
+def leaf(slot: int = 1) -> OperadTree:
     """A bare input slot; ``leaf(1)`` is the operadic unit tree."""
-    return OperadTree("leaf", slot=slot, color=color)
+    return OperadTree("leaf", slot=slot)
 
 
 def node(gen: str, children: Sequence[OperadTree]) -> OperadTree:
     return OperadTree("node", gen=gen, children=tuple(children))
 
 
-def unit_tree(color: str = DEFAULT_COLOR) -> OperadTree:
-    return leaf(1, color)
+def unit_tree() -> OperadTree:
+    return leaf(1)
 
 
 def validate_tree(t: OperadTree, alphabet: GeneratorAlphabet) -> None:
-    """Check label and color discipline against an alphabet."""
+    """Check leaf labels and generator arities against an alphabet."""
     labels = t.planar_labels()
     if sorted(labels) != list(range(1, len(labels) + 1)):
         raise StructuralError(f"leaf labels {labels} are not a permutation of 1..{len(labels)}")
 
-    def walk(s: OperadTree) -> str:
+    def walk(s: OperadTree) -> None:
         if s.kind == "leaf":
-            return s.color
+            return
         g = alphabet.by_name.get(s.gen)
         if g is None:
             raise StructuralError(f"unknown generator {s.gen!r}")
         if len(s.children) != g.arity:
             raise StructuralError(f"generator {s.gen} has arity {g.arity}, got {len(s.children)} children")
-        for ch, expected in zip(s.children, g.in_colors):
-            got = walk(ch)
-            if got != expected:
-                raise StructuralError(f"color mismatch under {s.gen}: {got} != {expected}")
-        return g.out_color
+        for ch in s.children:
+            walk(ch)
 
     walk(t)
 
@@ -253,7 +243,7 @@ class TreeSum:
 
 def _relabel(t: OperadTree, mapping: Dict[int, int]) -> OperadTree:
     if t.kind == "leaf":
-        return leaf(mapping[t.slot], t.color)
+        return leaf(mapping[t.slot])
     return node(t.gen, [_relabel(ch, mapping) for ch in t.children])
 
 
@@ -298,23 +288,6 @@ def permute(t: OperadTree, sigma: Sequence[int]) -> OperadTree:
 def perm_compose(sigma: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
     """Diagrammatic composition: apply sigma first, then tau."""
     return tuple(tau[s - 1] for s in sigma)
-
-
-def graft_sum(outer: TreeSum, inners: Sequence[TreeSum]) -> TreeSum:
-    """Multilinear extension of graft to linear combinations."""
-    out: Dict[OperadTree, Fraction] = {}
-
-    def expand(i: int, chosen: List[OperadTree], coeff: Fraction, outer_tree: OperadTree):
-        if i == len(inners):
-            t = graft(outer_tree, chosen)
-            out[t] = out.get(t, Fraction(0)) + coeff
-            return
-        for t, c in inners[i].terms.items():
-            expand(i + 1, chosen + [t], coeff * c, outer_tree)
-
-    for ot, oc in outer.terms.items():
-        expand(0, [], oc, ot)
-    return TreeSum(out)
 
 
 def koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
@@ -413,32 +386,97 @@ class RelationViolation:
 
 
 def check_relations(p: OperadPresentation, algebra) -> List[RelationViolation]:
-    """Evaluate every relation on every tuple of basis elements; exact equality.
+    """Compare the structure tensors of both sides of every relation; exact.
 
     Violations are returned as data (with witnessing basis tuple and the
-    nonzero discrepancy), never raised.
+    nonzero discrepancy), never raised, in relation order and then in
+    lexicographic order of the basis tuples.
     """
     violations = []
-    basis = algebra.basis_elements()
     for rel in p.relations:
-        n = rel.arity or 0
-        for combo in _tuples(len(basis), n):
-            inputs = [basis[i] for i in combo]
-            lhs = evaluate(rel.lhs, algebra, inputs)
-            rhs = evaluate(rel.rhs, algebra, inputs)
-            diff = algebra.add(lhs, algebra.scale(-1, rhs))
-            if diff:
-                violations.append(RelationViolation(rel.name, combo, dict(diff)))
+        diff = sum_tensor(rel.lhs - rel.rhs, algebra)
+        violations.extend(RelationViolation(rel.name, key, diff[key]) for key in sorted(diff))
     return violations
 
 
-def _tuples(count: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(count):
-        for tail in _tuples(count, length - 1):
-            yield (head,) + tail
+# ---------------------------------------------------------------------------
+# Sparse structure tensors
+# ---------------------------------------------------------------------------
+
+def _accumulate(terms: Iterable[Tuple[Tuple[int, ...], Mapping[int, Fraction], Fraction]]) -> Tensor:
+    """Sum of c * cell at key over (key, cell, c) terms, without zero entries."""
+    out: Tensor = {}
+    for key, cell, c in terms:
+        acc = out.setdefault(key, {})
+        for j, v in cell.items():
+            acc[j] = acc.get(j, _ZERO) + c * v
+    nonzero = ((key, {j: v for j, v in acc.items() if v}) for key, acc in out.items())
+    return {key: cell for key, cell in nonzero if cell}
+
+
+def combine(terms: Iterable[Tuple[Tensor, Fraction]]) -> Tensor:
+    """The linear combination sum(c * T) of tensors, without zero entries."""
+    return _accumulate((key, cell, c) for tensor, c in terms for key, cell in tensor.items())
+
+
+def by_output(tensor: Tensor) -> Dict[int, list]:
+    """Index a tensor by output: j -> [(input tuple, coefficient of e_j)]."""
+    index: Dict[int, list] = {}
+    for key, cell in tensor.items():
+        for j, v in cell.items():
+            index.setdefault(j, []).append((key, v))
+    return index
+
+
+def contract(tensor: Tensor, slots: Sequence[Optional[Mapping[int, list]]]) -> Tensor:
+    """Substitute a tensor into every input slot of ``tensor``.
+
+    ``slots[m]`` is an output index (see :func:`by_output`) of the tensor fed
+    into slot m, or None for the identity.  The result's input tuples are the
+    fed tensors' input tuples concatenated in slot order; no signs are added.
+    """
+    def terms():
+        for key, cell in tensor.items():
+            combos = [((), _ONE)]
+            for j, index in zip(key, slots):
+                options = (((j,), _ONE),) if index is None else index.get(j, ())
+                combos = [(k + k2, c * c2) for k, c in combos for k2, c2 in options]
+            for k, c in combos:
+                yield k, cell, c
+
+    return _accumulate(terms())
+
+
+def _planar_tensor(s: OperadTree, algebra) -> Tensor:
+    """Tensor of ``s`` on inputs read in planar leaf order, without signs."""
+    if s.kind == "leaf":
+        return {(i,): {i: _ONE} for i in range(algebra.basis.total)}
+    slots = [None if ch.kind == "leaf" else by_output(_planar_tensor(ch, algebra))
+             for ch in s.children]
+    return contract(algebra.tensor(s.gen), slots)
+
+
+def tree_tensor(t: OperadTree, algebra) -> Tensor:
+    """Structure tensor of a tree in ``algebra``, keyed by basis tuples in label order.
+
+    ``tree_tensor(t, a)[combo]`` is ``evaluate_tree(t, a, inputs)`` with
+    ``inputs[l-1]`` the basis vector ``combo[l-1]``, Koszul sign included;
+    ``algebra`` must provide ``tensor(name)`` and a graded ``basis``.
+    """
+    order = t.planar_labels()
+    by_label = sorted(range(len(order)), key=order.__getitem__)
+    degrees = algebra.basis.degrees
+    out: Tensor = {}
+    for planar, cell in _planar_tensor(t, algebra).items():
+        key = tuple(planar[m] for m in by_label)
+        sign = koszul_sign(order, [degrees[i] for i in key])
+        out[key] = cell if sign == 1 else {j: -v for j, v in cell.items()}
+    return out
+
+
+def sum_tensor(s: TreeSum, algebra) -> Tensor:
+    """Structure tensor of a linear combination of trees."""
+    return combine((tree_tensor(t, algebra), c) for t, c in s.terms.items())
 
 
 # ---------------------------------------------------------------------------

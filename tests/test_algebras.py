@@ -58,6 +58,19 @@ def test_non_derivation_differential_is_reported():
     assert any("unit vector is not a cycle" in line for line in report)
 
 
+def test_structure_indices_are_checked_against_the_carrier():
+    carrier = ChainComplex({0: 2})
+    for structure, message in [
+        ({operads.BRACKET: {(0, 9): {0: 1}}}, "bracket entry (0, 9): input index 9 >= dim 2"),
+        ({operads.BRACKET: {(0, 1): {7: 1}}}, "bracket entry (0, 1): output index 7 >= dim 2"),
+        ({operads.BRACKET: {(0,): {1: 1}}}, "bracket entry (0,) has 1 inputs, expected 2"),
+        ({operads.ETA: {-1: 1}}, "eta entry (): output index -1 < 0"),
+    ]:
+        with pytest.raises(StructuralError) as err:
+            DgAlgebra(carrier, "uLie", structure)
+        assert str(err.value) == message
+
+
 # -- commutator functor -------------------------------------------------------------
 
 def test_commutator_functor_on_matrices():

@@ -151,6 +151,39 @@ def test_malformed_matrix_entries_exit_two_with_location(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
+def test_out_of_range_tensor_indices_are_located(tmp_path, capsys):
+    # validate reports a structural defect as a failed check; other commands
+    # refuse the input with exit code 2; neither prints a traceback
+    doc = json.loads((DATA / "abelian_line_algebra.json").read_text())
+    cases = [([[0, 9, 0, "1"]], "bracket[0]: input index 9 >= dim 2"),
+             ([[0, 1, 7, "1"]], "bracket[0]: output index 7 >= dim 2")]
+    for bracket, message in cases:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({**doc, "bracket": bracket}))
+        assert main(["validate", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "type": "algebra", "valid": False, "issues": [message]}
+        assert main(["envelope-dims", "--algebra", str(path), "--n", "2"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+def test_float_rationals_in_tensors_and_omega_exit_two(tmp_path, capsys):
+    doc = json.loads((DATA / "plane_presymplectic.json").read_text())
+    doc["omega"][0] = [0, 1, 0.5]
+    path = tmp_path / "presymplectic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ccr", str(path), "--n", "2"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "omega[0]: cannot interpret 0.5 as a rational number"}
+    doc = json.loads((DATA / "abelian_line_algebra.json").read_text())
+    doc["unit"] = [[1, 0.5]]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert main(["envelope-dims", "--algebra", str(path), "--n", "2"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "unit[0]: cannot interpret 0.5 as a rational number"}
+
+
 def test_invalid_complex_exits_one(tmp_path, capsys):
     doc = {"dims": {"0": 1, "1": 1, "2": 1},
            "d": {"1": [[0, 0, "1"]], "2": [[0, 0, "1"]]}}
