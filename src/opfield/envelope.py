@@ -2,17 +2,22 @@
 
 Given a unital dg Lie algebra whose unit spans a distinguished basis vector,
 the enveloping algebra is realized on ordered monomials in the remaining
-basis vectors (odd-degree generators at most once).  Words are brought to
-normal form by rewriting adjacent out-of-order pairs
+basis vectors (odd-degree generators at most once).  A word's letters before
+its first out-of-order pair form a normal monomial; the others are multiplied
+in one at a time, as in PBW multiplication for G-algebras (Levandovskyy and
+Schönemann, "Plural", ISSAC 2003).  Inserting x_p into x_h x_a rewrites
 
-    x_a x_b  ->  (-1)^(|a||b|) x_b x_a + [x_a, x_b]        (a > b)
-    x_a x_a  ->  (1/2) [x_a, x_a]                          (|a| odd)
+    x_a x_p  ->  (-1)^(|a||p|) x_p x_a + [x_a, x_p]        (a > p)
+    x_p x_p  ->  (1/2) [x_p, x_p]                          (|p| odd)
 
 with brackets re-expanded in the generator basis plus a multiple of the empty
-word through the unit component.  A hard word-length bound ``truncation``
-restricts everything to a filtration stage; products that would exceed it
-raise :class:`TruncationOverflow` instead of silently quotienting, because
-the span of long words is not an ideal.
+word through the unit component, which leaves inserts into the shorter x_h:
+leftmost rewriting, reordered.  Inserts are memoized on (m, p) and resolved
+on an explicit stack, so no word recurses in Python; sums are built in place
+by one accumulator, ``out += c * x``.  A hard word-length bound
+``truncation`` restricts everything to a filtration stage; products that
+would exceed it raise :class:`TruncationOverflow` instead of silently
+quotienting, because the span of long words is not an ideal.
 
 The filtration-stage dimensions have an independent combinatorial oracle,
 :func:`filtration_dim`, which counts graded-symmetric monomials without ever
@@ -22,7 +27,7 @@ rewriting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import operads
 from .algebras import DgAlgebra, Element, PresymplecticComplex, element_add, element_scale, heisenberg
@@ -33,17 +38,28 @@ from .exact import RationalMatrix, rat
 Word = Tuple[int, ...]
 PBWElement = Dict[Word, Fraction]
 
+_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+
+
+def _accumulate(out: PBWElement, terms: Iterable[Tuple[Word, Fraction]], c: Fraction = _ONE) -> None:
+    """``out += c * terms`` in place, dropping zero sums; new words go last, and
+    the shared ``_ONE``, as ``c`` or as a term's coefficient, is not multiplied."""
+    for w, v in terms:
+        if c is not _ONE:
+            v = c if v is _ONE else c * v
+        old = out.get(w)
+        if old is not None:
+            v = old + v
+            if not v:
+                del out[w]
+                continue
+        out[w] = v
 
 
 def pbw_add(x: PBWElement, y: PBWElement) -> PBWElement:
     out = dict(x)
-    for w, c in y.items():
-        nc = out.get(w, Fraction(0)) + c
-        if nc:
-            out[w] = nc
-        elif w in out:
-            del out[w]
+    _accumulate(out, y.items())
     return out
 
 
@@ -55,7 +71,7 @@ def pbw_scale(c, x: PBWElement) -> PBWElement:
 
 
 def pbw_unit() -> PBWElement:
-    return {(): Fraction(1)}
+    return {(): _ONE}
 
 
 class TruncatedEnvelope:
@@ -91,6 +107,7 @@ class TruncatedEnvelope:
         self._bracket_cache: Dict[Tuple[int, int], PBWElement] = {}
         self._dgen_cache: Dict[int, PBWElement] = {}
         self._nf_cache: Dict[Word, PBWElement] = {}
+        self._insert_cache: Dict[Tuple[Word, int], PBWElement] = {}
         self._stage_cache: Dict[int, tuple] = {}
 
     # -- source-element conversion -------------------------------------------
@@ -99,45 +116,39 @@ class TruncatedEnvelope:
         the empty word."""
         out: PBWElement = {}
         for i, c in x.items():
-            if i == self.unit_index:
-                word: Word = ()
-                coeff = c / self.unit_coeff
-            else:
-                word = (self._pos[i],)
-                coeff = c
-            nc = out.get(word, Fraction(0)) + coeff
-            if nc:
-                out[word] = nc
-            elif word in out:
-                del out[word]
+            word, c = ((), c / self.unit_coeff) if i == self.unit_index else ((self._pos[i],), c)
+            _accumulate(out, ((word, c),))
         return out
 
     def generator(self, p: int) -> PBWElement:
-        return {(p,): Fraction(1)}
+        return {(p,): _ONE}
 
     def word_degree(self, word: Word) -> int:
         return sum(self.gen_degree[p] for p in word)
 
-    # -- structure expansions -------------------------------------------------
-    def bracket_expansion(self, p: int, q: int) -> PBWElement:
-        key = (p, q)
-        cached = self._bracket_cache.get(key)
+    # -- structure expansions: the public readers copy, internal callers share --
+    def _bracket(self, p: int, q: int) -> PBWElement:
+        cached = self._bracket_cache.get((p, q))
         if cached is None:
             cell = self.source.apply_generator(
                 operads.BRACKET,
                 [self.source.basis_element(self.gens[p]), self.source.basis_element(self.gens[q])],
             )
-            cached = self.from_source_element(cell)
-            self._bracket_cache[key] = cached
-        return dict(cached)
+            cached = self._bracket_cache[(p, q)] = self.from_source_element(cell)
+        return cached
 
-    def dgen_expansion(self, p: int) -> PBWElement:
+    def _dgen(self, p: int) -> PBWElement:
         cached = self._dgen_cache.get(p)
         if cached is None:
             dx = self.source.differential(self.source.basis_element(self.gens[p]))
-            cached = self.from_source_element(dx)
-            self._dgen_cache[p] = cached
-        return dict(cached)
+            cached = self._dgen_cache[p] = self.from_source_element(dx)
+        return cached
+
+    def bracket_expansion(self, p: int, q: int) -> PBWElement:
+        return dict(self._bracket(p, q))
+
+    def dgen_expansion(self, p: int) -> PBWElement:
+        return dict(self._dgen(p))
 
     # -- normal form -----------------------------------------------------------
     def normal_form(self, word: Sequence[int]) -> PBWElement:
@@ -148,32 +159,63 @@ class TruncatedEnvelope:
         return dict(self._nf(word))
 
     def _nf(self, word: Word) -> PBWElement:
+        """Normal form of a word (shared when cached; normal words are not)."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        result = None
+        odd = self._odd
         for k in range(len(word) - 1):
             a, b = word[k], word[k + 1]
-            if a > b:
-                sign = -1 if (self._odd[a] and self._odd[b]) else 1
-                swapped = word[:k] + (b, a) + word[k + 2:]
-                acc = pbw_scale(sign, self._nf(swapped))
-                for repl, c in self.bracket_expansion(a, b).items():
-                    spliced = word[:k] + repl + word[k + 2:]
-                    acc = pbw_add(acc, pbw_scale(c, self._nf(spliced)))
-                result = acc
+            if a > b or (a == b and odd[a]):
                 break
-            if a == b and self._odd[a]:
-                acc: PBWElement = {}
-                for repl, c in self.bracket_expansion(a, a).items():
-                    spliced = word[:k] + repl + word[k + 2:]
-                    acc = pbw_add(acc, pbw_scale(c * _HALF, self._nf(spliced)))
-                result = acc
-                break
-        if result is None:
-            result = {word: Fraction(1)}
-        self._nf_cache[word] = result
-        return result
+        else:
+            return {word: _ONE}
+        acc: PBWElement = {word[:k + 1]: _ONE}
+        for p in word[k + 1:]:
+            nxt: PBWElement = {}
+            for m, c in acc.items():
+                _accumulate(nxt, self._insert(m, p).items(), c)
+            acc = nxt
+        self._nf_cache[word] = acc
+        return acc
+
+    def _insert(self, m: Word, p: int) -> PBWElement:
+        """Normal form of x_m x_p for a normal monomial m (shared when cached).
+        Pending inserts are :meth:`_insert_steps` generators on a stack; each
+        yields the smaller inserts it needs and is sent their values."""
+        odd, cache = self._odd, self._insert_cache
+        stack: List[tuple] = []
+        while True:
+            if not m or m[-1] < p or (m[-1] == p and not odd[p]):
+                value = {m + (p,): _ONE}
+            else:
+                value = cache.get((m, p))
+                if value is None:
+                    stack.append(((m, p), self._insert_steps(m, p)))
+            while stack:
+                key, steps = stack[-1]
+                try:
+                    m, p = steps.send(value)
+                    break
+                except StopIteration as done:
+                    value = cache[key] = done.value
+                    stack.pop()
+            else:
+                return value
+
+    def _insert_steps(self, m: Word, p: int):
+        h, a = m[:-1], m[-1]
+        out: PBWElement = {}
+        if a == p:
+            bracket = {r: c * _HALF for r, c in self._bracket(a, a).items()}
+        else:
+            odd = self._odd[a] and self._odd[p]
+            for t, c in (yield h, p).items():
+                _accumulate(out, (yield t, a).items(), -c if odd else c)
+            bracket = self._bracket(a, p)
+        for r, c in bracket.items():
+            _accumulate(out, (yield h, r[0]).items() if r else ((h, _ONE),), c)
+        return out
 
     # -- algebra operations -----------------------------------------------------
     def multiply(self, x: PBWElement, y: PBWElement) -> PBWElement:
@@ -184,7 +226,7 @@ class TruncatedEnvelope:
                     raise TruncationOverflow(
                         f"product of words of lengths {len(w1)} and {len(w2)} exceeds "
                         f"truncation {self.truncation}; raise the bound")
-                out = pbw_add(out, pbw_scale(c1 * c2, self._nf(w1 + w2)))
+                _accumulate(out, self._nf(w1 + w2).items(), c2 if c1 is _ONE else c1 * c2)
         return out
 
     def commutator(self, x: PBWElement, y: PBWElement) -> PBWElement:
@@ -205,19 +247,16 @@ class TruncatedEnvelope:
     def differential(self, x: PBWElement) -> PBWElement:
         out: PBWElement = {}
         for w, c in x.items():
-            out = pbw_add(out, pbw_scale(c, self._d_word(w)))
+            _accumulate(out, self._d_word(w).items(), c)
         return out
 
     def _d_word(self, word: Word) -> PBWElement:
         out: PBWElement = {}
         parity = 0
         for j, p in enumerate(word):
-            dg = self.dgen_expansion(p)
-            if dg:
-                sign = -1 if parity % 2 else 1
-                for repl, c in dg.items():
-                    spliced = word[:j] + repl + word[j + 1:]
-                    out = pbw_add(out, pbw_scale(sign * c, self._nf(spliced)))
+            for repl, c in self._dgen(p).items():
+                _accumulate(out, self._nf(word[:j] + repl + word[j + 1:]).items(),
+                            -c if parity % 2 else c)
             parity += self.gen_degree[p]
         return out
 
@@ -369,26 +408,33 @@ class EnvelopeMap:
             self.images.append(target_env.from_source_element(img))
 
     def apply_word(self, word: Word) -> PBWElement:
-        out = pbw_unit()
-        for p in word:
-            out = self.target_env.multiply(out, self.images[p])
-        return out
+        return self.apply_words([word[:k] for k in range(len(word) + 1)])[word]
+
+    def apply_words(self, words: Sequence[Word]) -> Dict[Word, PBWElement]:
+        """Images of a prefix-closed list of words that lists every word after
+        its prefixes, such as :meth:`TruncatedEnvelope.monomials`."""
+        images: Dict[Word, PBWElement] = {}
+        for w in words:
+            images[w] = (self.target_env.multiply(images[w[:-1]], self.images[w[-1]])
+                         if w else pbw_unit())
+        return images
 
     def apply(self, x: PBWElement) -> PBWElement:
         out: PBWElement = {}
         for w, c in x.items():
-            out = pbw_add(out, pbw_scale(c, self.apply_word(w)))
+            _accumulate(out, self.apply_word(w).items(), c)
         return out
 
     def stage_chain_map(self, n: Optional[int] = None) -> ChainMap:
         n = self.source_env.truncation if n is None else n
         src_complex, src_by_degree, _ = self.source_env.stage(n)
         tgt_complex, _, tgt_index = self.target_env.stage(n)
+        images = self.apply_words(self.source_env.monomials(n))
         comps: Dict[int, dict] = {}
         for deg, words in src_by_degree.items():
             entries = comps.setdefault(deg, {})
             for col, w in enumerate(words):
-                for w2, c in self.apply_word(w).items():
+                for w2, c in images[w].items():
                     tdeg, row = tgt_index[w2]
                     if tdeg != deg:
                         raise AssertionError("envelope map did not preserve degree")
@@ -470,21 +516,18 @@ def validate_lie_map_into_algebra(env: TruncatedEnvelope, a: DgAlgebra,
 
 
 def _stability_defects(env: TruncatedEnvelope, a: DgAlgebra, images: Sequence[Element]) -> List[str]:
+    """First word of length N+1 with a nonzero product; zero products stay zero."""
     n = env.truncation
-    gens = range(len(env.gens))
-
-    def products(length):
-        if length == 0:
-            yield a.structure[operads.ETA], ()
-            return
-        for x, w in products(length - 1):
-            for p in gens:
-                yield a.apply_generator(operads.MU, [x, images[p]]), w + (p,)
-
-    for x, w in products(n + 1):
-        if x:
+    stack = [(a.structure[operads.ETA], ())]
+    while stack:
+        x, w = stack.pop()
+        if len(w) == n + 1:
             return [f"stability fails: product of generator images {w} is nonzero "
                     f"beyond truncation {n}"]
+        for p in reversed(range(len(env.gens))):
+            y = a.apply_generator(operads.MU, [x, images[p]])
+            if y:
+                stack.append((y, w + (p,)))
     return []
 
 

@@ -21,7 +21,7 @@ from . import operads
 from .algebras import DgAlgebra, is_algebra_morphism, push_rows
 from .complexes import ChainMap, homology_dim, is_quasi_iso
 from .envelope import EnvelopeMap, TruncatedEnvelope, envelope
-from .errors import StructuralError, TruncationOverflow
+from .errors import StructuralError
 from .exact import rank, rat_str
 
 Pair = Tuple[str, str]
@@ -303,20 +303,17 @@ def _quantized_pair_violations(ft: FieldTheory, f1: str, f2: str) -> List[Causal
     env2: TruncatedEnvelope = ft.algebra(ft.base.source(f2))
     act1: EnvelopeMap = ft.action[f1]
     act2: EnvelopeMap = ft.action[f2]
-    out = []
     n = env_c.truncation
-    images2 = [(v, act2.apply_word(v)) for v in env2.monomials(n - 1) if v]
-    for u in env1.monomials(n - 1):
-        if not u:
-            continue
-        x = act1.apply_word(u)
+    words1 = env1.monomials(n - 1)
+    images1 = act1.apply_words(words1)
+    images2 = [(v, y) for v, y in act2.apply_words(env2.monomials(n - 1)).items() if v]
+    out = []
+    for u in words1[1:]:
+        x = images1[u]
         for v, y in images2:
             if len(u) + len(v) > n:
                 continue
-            try:
-                comm = env_c.commutator(x, y)
-            except TruncationOverflow:
-                continue
+            comm = env_c.commutator(x, y)
             if comm:
                 out.append(CausalityViolation((f1, f2), (u, v), comm))
     return out

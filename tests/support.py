@@ -100,6 +100,18 @@ def exterior_square_dg() -> DgAlgebra:
     return DgAlgebra(carrier, "As", {operads.MU: mu, operads.ETA: {one: Fraction(1)}})
 
 
+def sl2_with_unit() -> DgAlgebra:
+    """sl2 + Q*1 as a unital Lie algebra; basis (e, f, h, 1) with [e, f] = h,
+    [h, e] = 2e, [h, f] = -2f and the unit its own central basis vector."""
+    e, f, h, one = 0, 1, 2, 3
+    bracket = {}
+    for (a, b), (c, v) in {(e, f): (h, 1), (h, e): (e, 2), (h, f): (f, -2)}.items():
+        bracket[(a, b)] = {c: Fraction(v)}
+        bracket[(b, a)] = {c: Fraction(-v)}
+    return DgAlgebra(ChainComplex({0: 4}), "uLie",
+                     {operads.BRACKET: bracket, operads.ETA: {one: Fraction(1)}})
+
+
 AS_CATALOG = [
     lambda: matrix_algebra(2),
     dual_numbers,

@@ -231,7 +231,8 @@ def test_cli_determinism_on_shipped_examples():
 
 
 def test_reports_do_not_depend_on_hash_seed(tmp_path):
-    # elimination tie-breaks walk sets and dicts; the reports must not
+    # elimination tie-breaks and the normal-form caches walk sets and dicts;
+    # the reports must not
     surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
     stage = tmp_path / "stage.json"
     stage.write_text(jsonio.dumps(jsonio.complex_to_json(ccr(pairing(surface), 2).stage_complex())))
@@ -239,6 +240,8 @@ def test_reports_do_not_depend_on_hash_seed(tmp_path):
         ["cs", "quantize", str(DATA / "annulus2.json"), "--n", "3"],
         ["cs", "pairing", str(DATA / "torus9.json")],
         ["homology", str(stage), "--degree", "0"],
+        ["quantize", str(DATA / "toy3_theory.json"), "--n", "3"],
+        ["check-causality", str(DATA / "toy3_theory.json")],
     ]
     for job in jobs:
         outputs = set()

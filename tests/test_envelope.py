@@ -437,3 +437,245 @@ def test_stability_condition_enforced():
     a = dual_numbers()
     issues = validate_lie_map_into_algebra(env, a, [{0: Fraction(1)}])  # x -> 1
     assert any("stability" in line for line in issues)
+
+
+# -- generator insertion against the recursive rewriter ---------------------------------
+#
+# The reference below is the rewriter that normal forms used before generator
+# insertion: it resolves the leftmost out-of-order pair with one recursive
+# call per rewrite and sums with copying adds.  Insertion must give the same
+# normal forms, products and stage matrices.
+
+def _ref_add(x, y):
+    out = dict(x)
+    for w, c in y.items():
+        nc = out.get(w, Fraction(0)) + c
+        if nc:
+            out[w] = nc
+        elif w in out:
+            del out[w]
+    return out
+
+
+def _ref_scale(c, x):
+    return {w: c * v for w, v in x.items()} if c else {}
+
+
+def reference_nf(env, word, cache):
+    word = tuple(word)
+    if word in cache:
+        return cache[word]
+    result = {word: Fraction(1)}
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if a > b:
+            sign = -1 if (env._odd[a] and env._odd[b]) else 1
+            acc = _ref_scale(sign, reference_nf(env, word[:k] + (b, a) + word[k + 2:], cache))
+            for repl, c in env.bracket_expansion(a, b).items():
+                spliced = word[:k] + repl + word[k + 2:]
+                acc = _ref_add(acc, _ref_scale(c, reference_nf(env, spliced, cache)))
+            result = acc
+            break
+        if a == b and env._odd[a]:
+            acc = {}
+            for repl, c in env.bracket_expansion(a, a).items():
+                spliced = word[:k] + repl + word[k + 2:]
+                acc = _ref_add(acc, _ref_scale(c / 2, reference_nf(env, spliced, cache)))
+            result = acc
+            break
+    cache[word] = result
+    return result
+
+
+def reference_multiply(env, x, y, cache):
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            out = _ref_add(out, _ref_scale(c1 * c2, reference_nf(env, w1 + w2, cache)))
+    return out
+
+
+def reference_stage_entries(env, n):
+    """Differential entries of stage n, per degree, from the reference rewriter."""
+    cache = {}
+    by_degree, index = {}, {}
+    for w in env.monomials(n):
+        by_degree.setdefault(env.word_degree(w), []).append(w)
+    for deg, words in by_degree.items():
+        for row, w in enumerate(words):
+            index[w] = row
+    entries = {}
+    for deg, words in by_degree.items():
+        for col, w in enumerate(words):
+            out, parity = {}, 0
+            for j, p in enumerate(w):
+                sign = -1 if parity % 2 else 1
+                for repl, c in env.dgen_expansion(p).items():
+                    nf = reference_nf(env, w[:j] + repl + w[j + 1:], cache)
+                    out = _ref_add(out, _ref_scale(sign * c, nf))
+                parity += env.gen_degree[p]
+            for w2, c in out.items():
+                entries.setdefault(deg, {})[(index[w2], col)] = c
+    return entries
+
+
+def odd_squares_algebra():
+    """Odd x1, x2 (degree 1) whose brackets are the even generators z11, z12,
+    z22 (degree 2): [x_i, x_j] = (1 + [i == j]) z_ij, so x_i x_i = z_ii."""
+    carrier = ChainComplex({0: 1, 1: 2, 2: 3})
+    z = {(0, 0): 3, (0, 1): 4, (1, 0): 4, (1, 1): 5}
+    bracket = {(1 + i, 1 + j): {z[(i, j)]: Fraction(2 if i == j else 1)}
+               for i in range(2) for j in range(2)}
+    return DgAlgebra(carrier, "uLie", {operads.BRACKET: bracket, operads.ETA: {0: Fraction(1)}})
+
+
+def _insertion_families():
+    from opfield.algebras import validate_algebra
+
+    from support import sl2_with_unit
+
+    rng = Random(61)
+    algebras = [heisenberg(random_presymplectic(rng, {-1: 2, 0: 2, 1: 2})) for _ in range(3)]
+    algebras += [sl2_with_unit(), odd_squares_algebra(), odd_square_algebra()]
+    for v in algebras:
+        assert validate_algebra(v) == []
+        yield envelope(v, 5)
+
+
+def test_normal_form_matches_recursive_rewriter_on_random_words():
+    rng = Random(67)
+    for env in _insertion_families():
+        cache = {}
+        k = len(env.gens)
+        for _ in range(60):
+            word = tuple(rng.randrange(k) for _ in range(rng.randint(0, env.truncation)))
+            assert env.normal_form(word) == reference_nf(env, word, cache), word
+
+
+def test_multiply_matches_recursive_rewriter_on_random_elements():
+    rng = Random(71)
+
+    def element(env, length, cache):
+        out = {}
+        for _ in range(2):
+            word = tuple(rng.randrange(len(env.gens)) for _ in range(length))
+            out = _ref_add(out, _ref_scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                           reference_nf(env, word, cache)))
+        return out
+
+    for env in _insertion_families():
+        cache = {}
+        for _ in range(20):
+            l1 = rng.randint(0, env.truncation)
+            l2 = rng.randint(0, env.truncation - l1)
+            x, y = element(env, l1, cache), element(env, l2, cache)
+            assert env.multiply(x, y) == reference_multiply(env, x, y, cache), (x, y)
+
+
+def test_sl2_normal_forms_are_not_central():
+    from support import sl2_with_unit
+
+    env = envelope(sl2_with_unit(), 3)
+    # f e = e f - h; h e = e h + 2e
+    assert env.normal_form((1, 0)) == {(0, 1): Fraction(1), (2,): Fraction(-1)}
+    assert env.normal_form((2, 0)) == {(0, 2): Fraction(1), (0,): Fraction(2)}
+
+
+@pytest.mark.parametrize("name", ["annulus2", "tetra_sphere"])
+def test_ccr_stage_matrices_match_recursive_rewriter(name):
+    import json
+    from pathlib import Path
+
+    from opfield.cherns import pairing
+    from opfield.jsonio import surface_from_json
+
+    path = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data" / f"{name}.json"
+    env = ccr(pairing(surface_from_json(json.loads(path.read_text()))), 3)
+    stage = env.stage_complex()
+    expected = reference_stage_entries(env, 3)
+    assert {deg: m.entries for deg, m in stage.diffs.items()} == expected
+    assert sum(len(e) for e in expected.values()) > 0
+
+
+def test_long_reversed_word_does_not_recurse():
+    import math
+    import sys
+
+    env = ccr(symplectic_plane(), 60)
+    word = (1,) * 25 + (0,) * 25
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        result = env.normal_form(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    # e2^n e1^m = sum_k (-1)^k k! C(n, k) C(m, k) e1^(m-k) e2^(n-k), as [e1, e2] = 1
+    expected = {(0,) * (25 - k) + (1,) * (25 - k): Fraction((-1) ** k * math.factorial(k)
+                                                             * math.comb(25, k) ** 2)
+                for k in range(26)}
+    assert result == expected
+
+
+# -- truncation stability ------------------------------------------------------------------
+
+def _reference_stability_defects(env, a, images):
+    """Every product of N+1 generator images, in lexicographic word order."""
+    n = env.truncation
+    gens = range(len(env.gens))
+
+    def products(length):
+        if length == 0:
+            yield a.structure[operads.ETA], ()
+            return
+        for x, w in products(length - 1):
+            for p in gens:
+                yield a.apply_generator(operads.MU, [x, images[p]]), w + (p,)
+
+    for x, w in products(n + 1):
+        if x:
+            return [f"stability fails: product of generator images {w} is nonzero "
+                    f"beyond truncation {n}"]
+    return []
+
+
+def test_stability_witness_is_the_first_nonzero_word():
+    from opfield.envelope import _stability_defects
+
+    plane = envelope(heisenberg(PresymplecticComplex(ChainComplex({0: 2}), {})), 2)
+    line = envelope(abelian_line(), 1)
+    cases = [
+        # E12 E12 = 0, so the witness is E12 E21 E12, not a word starting (0, 0)
+        (plane, matrix_algebra(2), [{1: Fraction(1)}, {2: Fraction(1)}]),
+        (plane, matrix_algebra(2), [{2: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]),
+        (plane, dual_numbers(), [{}, {0: Fraction(1)}]),
+        (line, dual_numbers(), [{0: Fraction(1)}]),
+        (line, dual_numbers(), [{1: Fraction(1)}]),
+    ]
+    witnesses = []
+    for env, a, images in cases:
+        found = _stability_defects(env, a, images)
+        assert found == _reference_stability_defects(env, a, images)
+        witnesses.append(found)
+    assert witnesses[0] == ["stability fails: product of generator images (0, 1, 0) is "
+                            "nonzero beyond truncation 2"]
+    assert witnesses[-1] == []
+
+
+def test_stability_with_many_generators_does_not_enumerate_zero_products():
+    from opfield.envelope import _stability_defects
+
+    k, n = 12, 5
+    env = envelope(heisenberg(PresymplecticComplex(ChainComplex({0: k}), {})), n)
+    # square-zero extension Q + Q^k: every product of two generator images vanishes
+    mu = {(0, 0): {0: Fraction(1)}}
+    for i in range(1, k + 1):
+        mu[(0, i)] = {i: Fraction(1)}
+        mu[(i, 0)] = {i: Fraction(1)}
+    a = DgAlgebra(ChainComplex({0: k + 1}), "As", {operads.MU: mu, operads.ETA: {0: Fraction(1)}})
+    images = [{i + 1: Fraction(1)} for i in range(k)]
+    calls = []
+    original = a.apply_generator
+    a.apply_generator = lambda *args: calls.append(1) or original(*args)
+    assert _stability_defects(env, a, images) == []
+    # k products of length one, k^2 of length two, none longer (k^(n+1) before)
+    assert len(calls) == k + k * k
