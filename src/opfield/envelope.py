@@ -106,7 +106,6 @@ class TruncatedEnvelope:
         self._pos = {src: p for p, src in enumerate(self.gens)}
         self._bracket_cache: Dict[Tuple[int, int], PBWElement] = {}
         self._dgen_cache: Dict[int, PBWElement] = {}
-        self._nf_cache: Dict[Word, PBWElement] = {}
         self._insert_cache: Dict[Tuple[Word, int], PBWElement] = {}
         self._stage_cache: Dict[int, tuple] = {}
 
@@ -156,13 +155,10 @@ class TruncatedEnvelope:
         if len(word) > self.truncation:
             raise TruncationOverflow(
                 f"word of length {len(word)} exceeds truncation {self.truncation}")
-        return dict(self._nf(word))
+        return self._nf(word)
 
     def _nf(self, word: Word) -> PBWElement:
-        """Normal form of a word (shared when cached; normal words are not)."""
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
+        """Normal form of a word, a fresh dict built from memoized inserts."""
         odd = self._odd
         for k in range(len(word) - 1):
             a, b = word[k], word[k + 1]
@@ -176,7 +172,6 @@ class TruncatedEnvelope:
             for m, c in acc.items():
                 _accumulate(nxt, self._insert(m, p).items(), c)
             acc = nxt
-        self._nf_cache[word] = acc
         return acc
 
     def _insert(self, m: Word, p: int) -> PBWElement:
@@ -407,9 +402,6 @@ class EnvelopeMap:
                                source_env.source.basis_element(src_idx))
             self.images.append(target_env.from_source_element(img))
 
-    def apply_word(self, word: Word) -> PBWElement:
-        return self.apply_words([word[:k] for k in range(len(word) + 1)])[word]
-
     def apply_words(self, words: Sequence[Word]) -> Dict[Word, PBWElement]:
         """Images of a prefix-closed list of words that lists every word after
         its prefixes, such as :meth:`TruncatedEnvelope.monomials`."""
@@ -418,12 +410,6 @@ class EnvelopeMap:
             images[w] = (self.target_env.multiply(images[w[:-1]], self.images[w[-1]])
                          if w else pbw_unit())
         return images
-
-    def apply(self, x: PBWElement) -> PBWElement:
-        out: PBWElement = {}
-        for w, c in x.items():
-            _accumulate(out, self.apply_word(w).items(), c)
-        return out
 
     def stage_chain_map(self, n: Optional[int] = None) -> ChainMap:
         n = self.source_env.truncation if n is None else n

@@ -7,15 +7,18 @@ equally on images of orthogonal morphism pairs; for the named kinds this is
 bracket-vanishing (uLie/Pois) alternatively commutator-vanishing (As).
 
 Quantization replaces every algebra by a truncated enveloping algebra and
-every action by its multiplicative extension.  Quantized theories carry the
-truncation bound and are checked stagewise: causality on monomial pairs whose
-lengths fit the bound, constancy per filtration stage.
+every action by its multiplicative extension; a quantized theory is its
+linear theory plus the truncation bound.  Quantization is a functor, so
+:func:`validate_functor` checks the linear data of either kind, and
+W-constancy is checked on :meth:`FieldTheory.stage_maps`, one chain map per
+filtration stage.  Only causality reads the envelopes themselves, on monomial
+pairs whose lengths fit the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import operads
 from .algebras import DgAlgebra, is_algebra_morphism, push_rows
@@ -179,10 +182,13 @@ ActionLike = Union[ChainMap, EnvelopeMap]
 class FieldTheory:
     """Functor from a finite orthogonal category to algebras of one kind.
 
-    Linear (and classical/quantum structure-constant) theories assign
-    :class:`DgAlgebra` objects and :class:`ChainMap` actions.  Quantized
-    theories assign :class:`TruncatedEnvelope` objects, :class:`EnvelopeMap`
-    actions, and carry the truncation bound.
+    A linear (structure-constant) theory assigns a :class:`DgAlgebra` to every
+    object and a :class:`ChainMap` to every morphism.  A quantized theory is a
+    linear theory plus its truncation bound N: it assigns the stage-N
+    envelopes (:class:`TruncatedEnvelope`) and their :class:`EnvelopeMap`
+    extensions.  :meth:`linear_algebra` and :meth:`linear_action` give the
+    linear data of either; :meth:`stage_maps` gives the chain maps that
+    W-constancy is checked on.
     """
 
     def __init__(self, base: OrthCategory, kind: str,
@@ -200,6 +206,13 @@ class FieldTheory:
         missing = set(base.objects) - set(self.assignment)
         if missing:
             raise StructuralError(f"no algebra assigned to objects {sorted(missing)}")
+        if truncation is not None:
+            for obj, env in sorted(self.assignment.items()):
+                if not isinstance(env, TruncatedEnvelope) or env.truncation != truncation:
+                    raise StructuralError(
+                        f"algebra on {obj}: expected an envelope at truncation {truncation}")
+        expected, noun = ((ChainMap, "a chain map") if truncation is None
+                          else (EnvelopeMap, "an envelope map"))
         self.action: Dict[str, ActionLike] = {}
         for m, (src, tgt) in base.morphisms.items():
             if base.is_identity(m) and m not in action:
@@ -207,20 +220,36 @@ class FieldTheory:
             else:
                 if m not in action:
                     raise StructuralError(f"no action supplied for morphism {m}")
+                if not isinstance(action[m], expected):
+                    raise StructuralError(f"action {m}: expected {noun}")
                 self.action[m] = action[m]
-
-    @property
-    def is_quantized(self) -> bool:
-        return self.truncation is not None
 
     def algebra(self, obj: str) -> AlgebraLike:
         return self.assignment[obj]
 
-    def _identity_action(self, obj: str) -> ActionLike:
+    def linear_algebra(self, obj: str) -> DgAlgebra:
         a = self.assignment[obj]
-        if isinstance(a, TruncatedEnvelope):
-            return EnvelopeMap(a, a, ChainMap.identity(a.source.carrier))
-        return ChainMap.identity(a.carrier)
+        return a if self.truncation is None else a.source
+
+    def linear_action(self, m: str) -> ChainMap:
+        act = self.action[m]
+        return act if self.truncation is None else act.rho
+
+    def stage_maps(self, m: str) -> Iterator[Tuple[Optional[str], ChainMap]]:
+        """``(label, chain map)``: the action itself, labelled None, for a
+        linear theory; the action on filtration stage n, labelled ``stage n``,
+        for n = 0..N, built as it is asked for, for a quantized one."""
+        act = self.action[m]
+        if self.truncation is None:
+            yield None, act
+            return
+        for n in range(self.truncation + 1):
+            yield f"stage {n}", act.stage_chain_map(n)
+
+    def _identity_action(self, obj: str) -> ActionLike:
+        ident = ChainMap.identity(self.linear_algebra(obj).carrier)
+        a = self.assignment[obj]
+        return ident if self.truncation is None else EnvelopeMap(a, a, ident)
 
 
 @dataclass
@@ -236,41 +265,21 @@ class CausalityViolation:
 
 
 def validate_functor(ft: FieldTheory) -> List[str]:
-    """Functoriality plus per-morphism structure preservation."""
+    """Functoriality plus per-morphism structure preservation, checked on the
+    linear data (quantization is a functor, so that covers a quantized
+    theory too)."""
     issues = [f"base category: {m}" for m in ft.base.validate()]
     for m, (src, tgt) in ft.base.morphisms.items():
-        act = ft.action[m]
-        a, b = ft.algebra(src), ft.algebra(tgt)
-        if ft.is_quantized:
-            if not isinstance(act, EnvelopeMap):
-                issues.append(f"action {m}: expected an envelope map")
-                continue
-            morphism_issues = is_algebra_morphism(act.rho, a.source, b.source)
-            issues.extend(f"action {m}: {msg}" for msg in morphism_issues)
-        else:
-            if not isinstance(act, ChainMap):
-                issues.append(f"action {m}: expected a chain map")
-                continue
-            morphism_issues = is_algebra_morphism(act, a, b)
-            issues.extend(f"action {m}: {msg}" for msg in morphism_issues)
+        morphism_issues = is_algebra_morphism(ft.linear_action(m), ft.linear_algebra(src),
+                                              ft.linear_algebra(tgt))
+        issues.extend(f"action {m}: {msg}" for msg in morphism_issues)
     for obj in ft.base.objects:
-        ident = ft.base.identities[obj]
-        if ft.is_quantized:
-            imgs = ft.action[ident].images
-            expected = [ft.algebra(obj).generator(p) for p in range(len(ft.algebra(obj).gens))]
-            if imgs != expected:
-                issues.append(f"identity action on {obj} is not the identity")
-        else:
-            if ft.action[ident] != ChainMap.identity(ft.algebra(obj).carrier):
-                issues.append(f"identity action on {obj} is not the identity")
+        ident = ft.linear_action(ft.base.identities[obj])
+        if ident != ChainMap.identity(ft.linear_algebra(obj).carrier):
+            issues.append(f"identity action on {obj} is not the identity")
     for (g, f), gf in ft.base._compose.items():
-        if ft.is_quantized:
-            lhs = [ft.action[g].apply(img) for img in ft.action[f].images]
-            if lhs != ft.action[gf].images:
-                issues.append(f"functoriality fails: action({gf}) != action({g}).action({f})")
-        else:
-            if ft.action[gf] != ft.action[g].compose(ft.action[f]):
-                issues.append(f"functoriality fails: action({gf}) != action({g}).action({f})")
+        if ft.linear_action(gf) != ft.linear_action(g).compose(ft.linear_action(f)):
+            issues.append(f"functoriality fails: action({gf}) != action({g}).action({f})")
     return issues
 
 
@@ -283,27 +292,29 @@ def check_causality(ft: FieldTheory) -> List[CausalityViolation]:
     theories it checks graded commutators of monomial images on every pair of
     monomials whose combined length fits the truncation.
     """
+    pair_violations = _tensor_violations if ft.truncation is None else _monomial_violations
     violations: List[CausalityViolation] = []
     for f1, f2 in sorted(ft.base.orth):
-        if ft.is_quantized:
-            violations.extend(_quantized_pair_violations(ft, f1, f2))
-            continue
-        a_c = ft.algebra(ft.base.target(f1))
-        images = [push_rows(ft.action[f], ft.algebra(ft.base.source(f)).basis, a_c.basis)
-                  for f in (f1, f2)]
-        r1, r2 = ft.distinguished_pair
-        diff = operads.contract(operads.sum_tensor(r1 - r2, a_c), images)
-        violations.extend(CausalityViolation((f1, f2), key, diff[key]) for key in sorted(diff))
+        violations.extend(pair_violations(ft, f1, f2))
     return violations
 
 
-def _quantized_pair_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViolation]:
+def _tensor_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViolation]:
+    a_c = ft.algebra(ft.base.target(f1))
+    images = [push_rows(ft.action[f], ft.algebra(ft.base.source(f)).basis, a_c.basis)
+              for f in (f1, f2)]
+    r1, r2 = ft.distinguished_pair
+    diff = operads.contract(operads.sum_tensor(r1 - r2, a_c), images)
+    return [CausalityViolation((f1, f2), key, diff[key]) for key in sorted(diff)]
+
+
+def _monomial_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViolation]:
     env_c: TruncatedEnvelope = ft.algebra(ft.base.target(f1))
     env1: TruncatedEnvelope = ft.algebra(ft.base.source(f1))
     env2: TruncatedEnvelope = ft.algebra(ft.base.source(f2))
     act1: EnvelopeMap = ft.action[f1]
     act2: EnvelopeMap = ft.action[f2]
-    n = env_c.truncation
+    n = ft.truncation
     words1 = env1.monomials(n - 1)
     images1 = act1.apply_words(words1)
     images2 = [(v, y) for v, y in act2.apply_words(env2.monomials(n - 1)).items() if v]
@@ -328,8 +339,6 @@ def quantize(lft: FieldTheory, n_max: int, check: bool = True) -> FieldTheory:
     """
     if lft.kind != "uLie":
         raise StructuralError(f"quantize expects a uLie theory, got {lft.kind}")
-    if lft.is_quantized:
-        raise StructuralError("theory is already quantized")
     envs = {obj: envelope(lft.algebra(obj), n_max) for obj in lft.base.objects}
     actions: Dict[str, EnvelopeMap] = {}
     for m, (src, tgt) in lft.base.morphisms.items():
@@ -347,7 +356,7 @@ def dequantize(qft: FieldTheory) -> FieldTheory:
     """Pointwise commutator functor on a structure-constant As theory."""
     from .algebras import commutator_functor
 
-    if qft.kind != "As" or qft.is_quantized:
+    if qft.kind != "As" or qft.truncation is not None:
         raise StructuralError("dequantize expects a structure-constant As theory")
     algebras = {obj: commutator_functor(qft.algebra(obj)) for obj in qft.base.objects}
     return FieldTheory(qft.base, "uLie", algebras, dict(qft.action))
@@ -367,51 +376,41 @@ class ConstancyReport:
 def check_w_constancy(ft: FieldTheory, w: Iterable[str],
                       mode: str = "strict") -> List[ConstancyReport]:
     """Strict mode: action matrices invertible degreewise.  Homotopy mode:
-    actions are quasi-isomorphisms.  Quantized theories are checked on every
-    filtration stage up to the truncation."""
+    actions are quasi-isomorphisms.  Each action is checked through
+    :meth:`FieldTheory.stage_maps`, so a quantized theory is checked on every
+    filtration stage up to the truncation, stopping at the first failure."""
     if mode not in ("strict", "homotopy"):
         raise StructuralError(f"unknown mode {mode!r}")
     reports = []
     for m in w:
         if m not in ft.base.morphisms:
             raise StructuralError(f"unknown morphism {m!r} in W")
-        if ft.is_quantized:
-            reports.append(_stagewise_constancy(ft, m, mode))
-            continue
-        f: ChainMap = ft.action[m]
-        reports.append(_chain_map_constancy(m, f, mode))
+        witness = ""
+        for label, f in ft.stage_maps(m):
+            witness = _constancy_defect(f, mode)
+            if witness:
+                witness = f"{label}: {witness}" if label else witness
+                break
+        reports.append(ConstancyReport(m, not witness, witness))
     return reports
 
 
-def _chain_map_constancy(name: str, f: ChainMap, mode: str) -> ConstancyReport:
+def _constancy_defect(f: ChainMap, mode: str) -> str:
+    """Why ``f`` is not W-constant in ``mode``; empty when it is."""
+    degrees = sorted(set(f.source.dims) | set(f.target.dims))
     if mode == "homotopy":
-        degrees = sorted(set(f.source.dims) | set(f.target.dims))
         for n in degrees:
             hs, ht = homology_dim(f.source, n), homology_dim(f.target, n)
             if hs != ht:
-                return ConstancyReport(name, False,
-                                       f"homology dims differ in degree {n}: {hs} != {ht}")
-        if not is_quasi_iso(f):
-            return ConstancyReport(name, False, "induced homology map not invertible")
-        return ConstancyReport(name, True)
-    degrees = sorted(set(f.source.dims) | set(f.target.dims))
+                return f"homology dims differ in degree {n}: {hs} != {ht}"
+        return "" if is_quasi_iso(f) else "induced homology map not invertible"
     for n in degrees:
         rows, cols = f.target.dim(n), f.source.dim(n)
         if rows != cols:
-            return ConstancyReport(name, False, f"degree {n}: dims {cols} -> {rows} differ")
+            return f"degree {n}: dims {cols} -> {rows} differ"
         if rows and rank(f.component(n)) != rows:
-            return ConstancyReport(name, False, f"degree {n}: action matrix not invertible")
-    return ConstancyReport(name, True)
-
-
-def _stagewise_constancy(ft: FieldTheory, m: str, mode: str) -> ConstancyReport:
-    act: EnvelopeMap = ft.action[m]
-    for n in range(ft.truncation + 1):
-        stage_map = act.stage_chain_map(n)
-        report = _chain_map_constancy(f"{m}[stage {n}]", stage_map, mode)
-        if not report.ok:
-            return ConstancyReport(m, False, f"stage {n}: {report.witness}")
-    return ConstancyReport(m, True)
+            return f"degree {n}: action matrix not invertible"
+    return ""
 
 
 class OrthFunctor:

@@ -176,7 +176,7 @@ def chain_map_components_to_json(f: ChainMap) -> dict:
 
 
 def theory_to_json(ft: FieldTheory) -> dict:
-    if ft.is_quantized:
+    if ft.truncation is not None:
         raise StructuralError("quantized theories are reported, not serialized")
     cat = ft.base
     morphisms = [

@@ -117,6 +117,19 @@ def test_check_w_stagewise_after_quantization(capsys):
     assert out["reports"][0]["ok"] is True
 
 
+def test_check_w_stagewise_witness_names_the_first_failing_stage(capsys):
+    # f1 and f2 include two-generator algebras into a four-generator one:
+    # stage 0 is the ground field on both sides, stage 1 differs
+    witnesses = {"homotopy": "stage 1: homology dims differ in degree 0: 3 != 5",
+                 "strict": "stage 1: degree 0: dims 3 -> 5 differ"}
+    for mode, witness in witnesses.items():
+        assert main(["check-w", str(DATA / "toy3_theory.json"),
+                     "--mode", mode, "--w", "f1,f2", "--n", "3"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["reports"] == [{"morphism": m, "ok": False, "witness": witness}
+                                  for m in ("f1", "f2")]
+
+
 def test_invalid_surface_reports_and_exits_one(tmp_path, capsys):
     doc = {"vertices": 3, "triangles": [[0, 1, 2]], "boundary_edges": [[0, 1]]}
     path = tmp_path / "surface.json"
@@ -236,17 +249,19 @@ def test_reports_do_not_depend_on_hash_seed(tmp_path):
     surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
     stage = tmp_path / "stage.json"
     stage.write_text(jsonio.dumps(jsonio.complex_to_json(ccr(pairing(surface), 2).stage_complex())))
-    jobs = [
-        ["cs", "quantize", str(DATA / "annulus2.json"), "--n", "3"],
-        ["cs", "pairing", str(DATA / "torus9.json")],
-        ["homology", str(stage), "--degree", "0"],
-        ["quantize", str(DATA / "toy3_theory.json"), "--n", "3"],
-        ["check-causality", str(DATA / "toy3_theory.json")],
+    jobs = [  # (argv, exit code)
+        (["cs", "quantize", str(DATA / "annulus2.json"), "--n", "3"], 0),
+        (["cs", "pairing", str(DATA / "torus9.json")], 0),
+        (["homology", str(stage), "--degree", "0"], 0),
+        (["quantize", str(DATA / "toy3_theory.json"), "--n", "3"], 0),
+        (["check-causality", str(DATA / "toy3_theory.json")], 0),
+        (["check-w", str(DATA / "toy3_theory.json"), "--mode", "homotopy", "--w", "f1,f2",
+          "--n", "3"], 1),
     ]
-    for job in jobs:
+    for job, expected in jobs:
         outputs = set()
         for seed in ("0", "1", "2"):
             code, out = run_cli(job, env={**os.environ, "PYTHONHASHSEED": seed})
-            assert code == 0, (job, out)
+            assert code == expected, (job, out)
             outputs.add(out)
         assert len(outputs) == 1, job

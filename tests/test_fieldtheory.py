@@ -141,8 +141,11 @@ def test_quantize_single_object_gives_weyl_truncation():
 
 
 def test_quantize_block_theory_passes_causality():
-    qft = quantize(block_theory(), 3)
-    assert qft.is_quantized and qft.truncation == 3
+    lft = block_theory()
+    qft = quantize(lft, 3)
+    assert qft.truncation == 3
+    assert qft.linear_action("f1") is lft.action["f1"]
+    assert qft.linear_algebra("c") is lft.algebra("c")
     assert validate_functor(qft) == []
     assert check_causality(qft) == []
 
@@ -164,6 +167,51 @@ def test_quantize_requires_ulie():
     ft = FieldTheory(cat, "As", {"c": mat}, {})
     with pytest.raises(StructuralError):
         quantize(ft, 2)
+
+
+def crossed_theory():
+    """block_theory with f2 sending x -> e1 + e2, y -> -e0: a unital Lie map
+    whose image does not commute with f1's first block."""
+    ft = block_theory()
+    act2 = ChainMap(ft.algebra("c2").carrier, ft.algebra("c").carrier,
+                    {0: RationalMatrix(5, 3, {(1, 0): 1, (2, 0): 1, (0, 1): -1, (4, 2): 1})})
+    return FieldTheory(ft.base, "uLie", ft.assignment, {"f1": ft.action["f1"], "f2": act2})
+
+
+# (pair, (u, v), graded commutator of their images) for every failing monomial
+# pair at truncation 3
+CROSSED_VIOLATIONS_N3 = [
+    (("f1", "f2"), ((0,), (0,)), {(): 1}),
+    (("f1", "f2"), ((0,), (0, 0)), {(1,): 2, (2,): 2}),
+    (("f1", "f2"), ((0,), (0, 1)), {(0,): -1}),
+    (("f1", "f2"), ((1,), (1,)), {(): 1}),
+    (("f1", "f2"), ((1,), (0, 1)), {(1,): 1, (2,): 1}),
+    (("f1", "f2"), ((1,), (1, 1)), {(0,): -2}),
+    (("f1", "f2"), ((0, 0), (0,)), {(0,): 2}),
+    (("f1", "f2"), ((0, 1), (0,)), {(1,): 1}),
+    (("f1", "f2"), ((0, 1), (1,)), {(0,): 1}),
+    (("f1", "f2"), ((1, 1), (1,)), {(1,): 2}),
+    (("f2", "f1"), ((0,), (0,)), {(): -1}),
+    (("f2", "f1"), ((0,), (0, 0)), {(0,): -2}),
+    (("f2", "f1"), ((0,), (0, 1)), {(1,): -1}),
+    (("f2", "f1"), ((1,), (1,)), {(): -1}),
+    (("f2", "f1"), ((1,), (0, 1)), {(0,): -1}),
+    (("f2", "f1"), ((1,), (1, 1)), {(1,): -2}),
+    (("f2", "f1"), ((0, 0), (0,)), {(1,): -2, (2,): -2}),
+    (("f2", "f1"), ((0, 1), (0,)), {(0,): 1}),
+    (("f2", "f1"), ((0, 1), (1,)), {(1,): -1, (2,): -1}),
+    (("f2", "f1"), ((1, 1), (1,)), {(0,): 2}),
+]
+
+
+def test_quantized_causality_failure_is_witnessed_on_monomial_pairs():
+    lft = crossed_theory()
+    assert validate_functor(lft) == []
+    qft = quantize(lft, 3, check=False)
+    found = [(v.pair, v.witness, v.discrepancy) for v in check_causality(qft)]
+    assert found == CROSSED_VIOLATIONS_N3
+    with pytest.raises(AssertionError, match="quantization broke causality"):
+        quantize(lft, 3)
 
 
 # -- dequantization ------------------------------------------------------------------
@@ -224,13 +272,17 @@ def test_homotopy_mode_reports_homology_mismatch():
     assert "homology dims differ in degree 0" in reports[0].witness
 
 
+def quarter_turn(a):
+    """x -> y, y -> -x on a Heisenberg plane, fixing the unit: a unital Lie map."""
+    return ChainMap(a.carrier, a.carrier, {0: RationalMatrix.from_rows(
+        [[0, -1, 0], [1, 0, 0], [0, 0, 1]])})
+
+
 def rotation_theory():
     """Two objects joined by an invertible pairing-preserving action."""
     a = heisenberg(plane())
     cat = OrthCategory(["a", "b"], {"f": ("a", "b")}, {})
-    rot = ChainMap(a.carrier, a.carrier, {0: RationalMatrix.from_rows(
-        [[0, -1, 0], [1, 0, 0], [0, 0, 1]])})
-    return FieldTheory(cat, "uLie", {"a": a, "b": a}, {"f": rot})
+    return FieldTheory(cat, "uLie", {"a": a, "b": a}, {"f": quarter_turn(a)})
 
 
 def test_strict_constancy_preserved_by_quantization():
@@ -279,6 +331,45 @@ def test_componentwise_quasi_iso_transformation_quantizes_stagewise():
         em = envelope_map(component, theory1.algebra(obj), theory2.algebra(obj), n_max)
         for n in range(n_max + 1):
             assert is_quasi_iso(em.stage_chain_map(n))
+
+
+# -- invalid actions -------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [None, 2])
+def test_identity_action_that_moves_generators_is_reported(n_max):
+    a = heisenberg(plane())
+    ft = FieldTheory(OrthCategory(["c"], {}, {}), "uLie", {"c": a}, {"id_c": quarter_turn(a)})
+    if n_max is not None:
+        ft = quantize(ft, n_max)
+    assert validate_functor(ft) == ["identity action on c is not the identity"]
+
+
+@pytest.mark.parametrize("n_max", [None, 2])
+def test_wrong_composite_action_is_reported(n_max):
+    a = heisenberg(plane())
+    cat = OrthCategory(["a", "b", "c"], {"f": ("a", "b"), "g": ("b", "c"), "gf": ("a", "c")},
+                       {("g", "f"): "gf"})
+    turn = quarter_turn(a)  # turn after turn is -1 on the plane, not the identity
+    ft = FieldTheory(cat, "uLie", {"a": a, "b": a, "c": a},
+                     {"f": turn, "g": turn, "gf": ChainMap.identity(a.carrier)})
+    if n_max is not None:
+        ft = quantize(ft, n_max)
+    assert validate_functor(ft) == ["functoriality fails: action(gf) != action(g).action(f)"]
+
+
+def test_constructor_rejects_actions_of_the_other_kind():
+    lft = rotation_theory()
+    qft = quantize(lft, 2)
+    with pytest.raises(StructuralError, match="action f: expected an envelope map"):
+        FieldTheory(qft.base, "As", qft.assignment, {"f": lft.action["f"]}, truncation=2)
+    with pytest.raises(StructuralError, match="action f: expected a chain map"):
+        FieldTheory(lft.base, "uLie", lft.assignment, {"f": qft.action["f"]})
+
+
+def test_constructor_rejects_envelopes_at_another_truncation():
+    qft = quantize(rotation_theory(), 2)
+    with pytest.raises(StructuralError, match="expected an envelope at truncation 3"):
+        FieldTheory(qft.base, "As", qft.assignment, dict(qft.action), truncation=3)
 
 
 # -- pullbacks ------------------------------------------------------------------------
