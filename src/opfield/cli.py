@@ -60,6 +60,11 @@ def pbw_str(elem) -> str:
     return text.replace("+ -", "- ")
 
 
+def _dims_report(dims) -> dict:
+    """Degree -> dimension with string keys, as the reports print it."""
+    return {str(n): d for n, d in dims.items()}
+
+
 def cmd_validate(args) -> int:
     doc = _load(args.file)
     kind = jsonio.sniff_type(doc)
@@ -106,10 +111,7 @@ def cmd_homology(args) -> int:
 def cmd_envelope_dims(args) -> int:
     a = jsonio.algebra_from_json(_load(args.algebra))
     env = envelope(a, args.n)
-    stages = []
-    for k in range(args.n + 1):
-        stage = env.stage_complex(k)
-        stages.append({str(n): stage.dim(n) for n in stage.support})
+    stages = [_dims_report(env.stage_dims(k)) for k in range(args.n + 1)]
     _emit({"truncation": args.n, "stages": stages}, args.out)
     return 0
 
@@ -117,7 +119,7 @@ def cmd_envelope_dims(args) -> int:
 def cmd_ccr(args) -> int:
     p = jsonio.presymplectic_from_json(_load(args.file))
     env = ccr(p, args.n)
-    stage = env.stage_complex()
+    dims = env.stage_dims()
     commutators = {}
     k = len(env.gens)
     for i in range(k):
@@ -128,8 +130,8 @@ def cmd_ccr(args) -> int:
             commutators[f"[e{i + 1},e{j + 1}]"] = pbw_str(value)
     _emit({
         "truncation": args.n,
-        "dim": sum(stage.dims.values()),
-        "stage_dims": {str(n): stage.dim(n) for n in stage.support},
+        "dim": sum(dims.values()),
+        "stage_dims": _dims_report(dims),
         "commutators": commutators,
     }, args.out)
     return 0
@@ -157,10 +159,7 @@ def cmd_quantize(args) -> int:
         _emit({"causality": "violated", "violations": [str(v) for v in violations]}, args.out)
         return 1
     qft = quantize(ft, args.n)
-    objects = {}
-    for obj in sorted(ft.base.objects):
-        stage = qft.algebra(obj).stage_complex()
-        objects[obj] = {str(n): stage.dim(n) for n in stage.support}
+    objects = {obj: _dims_report(qft.algebra(obj).stage_dims()) for obj in ft.base.objects}
     _emit({"truncation": args.n, "causality": "ok", "stage_dims": objects}, args.out)
     return 0
 
@@ -219,7 +218,7 @@ def cmd_cs(args) -> int:
         stage = env.stage_complex()
         _emit({
             "truncation": args.n,
-            "stage_dims": {str(n): stage.dim(n) for n in stage.support},
+            "stage_dims": _dims_report(stage.dims),
             "homology": {str(n): homology_dims(stage).get(n, 0) for n in stage.support},
         }, args.out)
         return 0

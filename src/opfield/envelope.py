@@ -19,13 +19,17 @@ by one accumulator, ``out += c * x``.  A hard word-length bound
 would exceed it raise :class:`TruncationOverflow` instead of silently
 quotienting, because the span of long words is not an ideal.
 
-The filtration-stage dimensions have an independent combinatorial oracle,
-:func:`filtration_dim`, which counts graded-symmetric monomials without ever
-rewriting.
+A stage's per-degree dimensions (:meth:`TruncatedEnvelope.stage_dims`) are
+counted from the degrees of its PBW monomials; the stage chain complex, with
+every monomial's differential, is built only by :meth:`TruncatedEnvelope.stage`
+for callers that read homology or chain maps.  The dimensions also have an
+independent combinatorial oracle, :func:`filtration_dim`, which counts
+graded-symmetric monomials without ever rewriting.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,6 +43,7 @@ Word = Tuple[int, ...]
 PBWElement = Dict[Word, Fraction]
 
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 _HALF = Fraction(1, 2)
 
 
@@ -226,10 +231,10 @@ class TruncatedEnvelope:
 
     def commutator(self, x: PBWElement, y: PBWElement) -> PBWElement:
         """Graded commutator; inputs must be homogeneous."""
-        dx = self.element_degree(x)
-        dy = self.element_degree(y)
-        sign = -1 if (dx or 0) * (dy or 0) % 2 else 1
-        return pbw_add(self.multiply(x, y), pbw_scale(-sign, self.multiply(y, x)))
+        odd = (self.element_degree(x) or 0) * (self.element_degree(y) or 0) % 2
+        out = self.multiply(x, y)
+        _accumulate(out, self.multiply(y, x).items(), _ONE if odd else _MINUS_ONE)
+        return out
 
     def element_degree(self, x: PBWElement) -> Optional[int]:
         degs = {self.word_degree(w) for w in x}
@@ -317,7 +322,9 @@ class TruncatedEnvelope:
         return self.stage(n)[0]
 
     def stage_dims(self, n: Optional[int] = None) -> Dict[int, int]:
-        return dict(self.stage(n)[0].dims)
+        """Per-degree dimensions of filtration stage n, counted from the PBW
+        monomials' degrees; no differential is computed."""
+        return dict(Counter(map(self.word_degree, self.monomials(n))))
 
     def __repr__(self):
         return (f"TruncatedEnvelope(gens={len(self.gens)}, truncation={self.truncation}, "

@@ -287,16 +287,22 @@ def check_causality(ft: FieldTheory) -> List[CausalityViolation]:
     """Evaluate the distinguished pair on all images of orthogonal pairs.
 
     For structure-constant theories this pulls the structure tensor of the
-    difference of the two arity-2 combinations back along both actions; its
-    nonzero entries are the failing pairs of basis elements.  For quantized
-    theories it checks graded commutators of monomial images on every pair of
-    monomials whose combined length fits the truncation.
+    difference of the two arity-2 combinations back along both actions of
+    each ordered pair; its nonzero entries are the failing pairs of basis
+    elements.  For quantized theories it checks graded commutators of
+    monomial images on every pair of monomials whose combined length fits the
+    truncation.  Each unordered pair {f1, f2} is evaluated once, as (f1, f2):
+    the (f2, f1) list is its graded mirror, witness (v, u) for (u, v) and
+    discrepancy [y, x] = -(-1)^(|u||v|) [x, y], listed in the order an
+    (f2, f1) loop would give.  Violations come pair by pair in sorted order.
     """
-    pair_violations = _tensor_violations if ft.truncation is None else _monomial_violations
-    violations: List[CausalityViolation] = []
+    found: Dict[Pair, List[CausalityViolation]] = {}
     for f1, f2 in sorted(ft.base.orth):
-        violations.extend(pair_violations(ft, f1, f2))
-    return violations
+        if ft.truncation is None:
+            found[f1, f2] = _tensor_violations(ft, f1, f2)
+        elif f1 <= f2:  # for f1 == f2 the mirror is the list itself
+            found[f1, f2], found[f2, f1] = _monomial_violations(ft, f1, f2)
+    return [v for pair in sorted(found) for v in found[pair]]
 
 
 def _tensor_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViolation]:
@@ -308,26 +314,31 @@ def _tensor_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViola
     return [CausalityViolation((f1, f2), key, diff[key]) for key in sorted(diff)]
 
 
-def _monomial_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViolation]:
+def _monomial_violations(ft: FieldTheory, f1: str,
+                         f2: str) -> Tuple[List[CausalityViolation], List[CausalityViolation]]:
+    """Violations of (f1, f2) and, from the same commutators, of (f2, f1)."""
     env_c: TruncatedEnvelope = ft.algebra(ft.base.target(f1))
     env1: TruncatedEnvelope = ft.algebra(ft.base.source(f1))
     env2: TruncatedEnvelope = ft.algebra(ft.base.source(f2))
-    act1: EnvelopeMap = ft.action[f1]
-    act2: EnvelopeMap = ft.action[f2]
     n = ft.truncation
     words1 = env1.monomials(n - 1)
-    images1 = act1.apply_words(words1)
-    images2 = [(v, y) for v, y in act2.apply_words(env2.monomials(n - 1)).items() if v]
-    out = []
-    for u in words1[1:]:
+    words2 = env2.monomials(n - 1)
+    images1 = ft.action[f1].apply_words(words1)
+    images2 = ft.action[f2].apply_words(words2)
+    forward, mirrored = [], []
+    for i, u in enumerate(words1[1:]):
         x = images1[u]
-        for v, y in images2:
+        for j, v in enumerate(words2[1:]):
             if len(u) + len(v) > n:
-                continue
-            comm = env_c.commutator(x, y)
+                break  # monomials are sorted by length
+            comm = env_c.commutator(x, images2[v])
             if comm:
-                out.append(CausalityViolation((f1, f2), (u, v), comm))
-    return out
+                forward.append(CausalityViolation((f1, f2), (u, v), comm))
+                odd = env1.word_degree(u) * env2.word_degree(v) % 2
+                mirror = dict(comm) if odd else {w: -c for w, c in comm.items()}
+                mirrored.append((j, i, CausalityViolation((f2, f1), (v, u), mirror)))
+    mirrored.sort(key=lambda entry: entry[:2])
+    return forward, [viol for _, _, viol in mirrored]
 
 
 def quantize(lft: FieldTheory, n_max: int, check: bool = True) -> FieldTheory:

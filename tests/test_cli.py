@@ -7,7 +7,7 @@ from pathlib import Path
 from opfield import jsonio
 from opfield.cherns import pairing
 from opfield.cli import main
-from opfield.envelope import ccr
+from opfield.envelope import TruncatedEnvelope, ccr
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
@@ -57,6 +57,27 @@ def test_envelope_dims_verb(capsys):
                  "--n", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stages"][6] == {"0": 7}
+
+
+def test_dimension_reports_compute_no_stage_differentials(capsys, monkeypatch):
+    # stage dimensions are counted from PBW monomials; only homology reads
+    # the stage differentials
+    def no_differentials(self, word):
+        raise RuntimeError(f"stage differential computed for {word}")
+
+    monkeypatch.setattr(TruncatedEnvelope, "_d_word", no_differentials)
+    jobs = [
+        (["quantize", str(DATA / "toy3_theory.json"), "--n", "3"],
+         {"causality": "ok", "stage_dims": {"c": {"0": 35}, "c1": {"0": 10}, "c2": {"0": 10}},
+          "truncation": 3}),
+        (["ccr", str(DATA / "plane_presymplectic.json"), "--n", "5"],
+         {"commutators": {"[e1,e2]": "1"}, "dim": 21, "stage_dims": {"0": 21}, "truncation": 5}),
+        (["envelope-dims", "--algebra", str(DATA / "abelian_line_algebra.json"), "--n", "4"],
+         {"stages": [{"0": 1}, {"0": 2}, {"0": 3}, {"0": 4}, {"0": 5}], "truncation": 4}),
+    ]
+    for argv, report in jobs:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == jsonio.dumps(report), argv
 
 
 def test_check_causality_verb(capsys):
@@ -255,6 +276,8 @@ def test_reports_do_not_depend_on_hash_seed(tmp_path):
         (["homology", str(stage), "--degree", "0"], 0),
         (["quantize", str(DATA / "toy3_theory.json"), "--n", "3"], 0),
         (["check-causality", str(DATA / "toy3_theory.json")], 0),
+        (["ccr", str(DATA / "plane_presymplectic.json"), "--n", "5"], 0),
+        (["envelope-dims", "--algebra", str(DATA / "abelian_line_algebra.json"), "--n", "4"], 0),
         (["check-w", str(DATA / "toy3_theory.json"), "--mode", "homotopy", "--w", "f1,f2",
           "--n", "3"], 1),
     ]

@@ -154,15 +154,28 @@ def test_filtration_dim_zero_space():
 
 
 def test_envelope_counts_match_oracle():
+    # stage_dims counts monomials; the stage complex and filtration_dim are
+    # two independent countings of the same spaces
+    import json
+    from pathlib import Path
+
+    from opfield.jsonio import theory_from_json
+
+    from support import sl2_with_unit
+
     rng = Random(41)
-    algebras = [heisenberg_plane(), odd_line(), odd_line(1), abelian_line()]
+    algebras = [heisenberg_plane(), odd_line(), odd_line(1), abelian_line(), sl2_with_unit(),
+                odd_squares_algebra()]
     for _ in range(3):
         algebras.append(heisenberg(random_presymplectic(rng, {-1: 1, 0: 2, 1: 1})))
+    algebras += [heisenberg(random_presymplectic(rng)) for _ in range(4)]
+    toy3 = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data" / "toy3_theory.json"
+    ft = theory_from_json(json.loads(toy3.read_text()))
+    algebras += [ft.algebra(obj) for obj in ft.base.objects]
     for v in algebras:
         env = envelope(v, 4)
         for n in range(5):
-            stage = env.stage_complex(n)
-            assert dict(stage.dims) == filtration_dim(v, n), (v, n)
+            assert env.stage_dims(n) == env.stage_complex(n).dims == filtration_dim(v, n), (v, n)
 
 
 # -- differential: d squared, Leibniz, unit collapse -------------------------------------

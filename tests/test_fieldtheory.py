@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from opfield import operads
-from opfield.algebras import DgAlgebra, PresymplecticComplex, heisenberg
+from opfield.algebras import DgAlgebra, PresymplecticComplex, heisenberg, heisenberg_map
 from opfield.complexes import ChainComplex, ChainMap
 from opfield.envelope import pbw_unit
 from opfield.errors import StructuralError
@@ -212,6 +212,61 @@ def test_quantized_causality_failure_is_witnessed_on_monomial_pairs():
     assert found == CROSSED_VIOLATIONS_N3
     with pytest.raises(AssertionError, match="quantization broke causality"):
         quantize(lft, 3)
+
+
+def odd_crossed_theory():
+    """Heisenberg algebra of b (degree -1), p, q (degree 0) and a (degree 1),
+    with omega(a, b) = omega(p, q) = 1, on four objects; f1 is the identity,
+    f2 the pairing-preserving b -> b/2, p -> p + q, a -> 2a, f3 the map
+    b -> -b, q -> q + p, a -> -a.  The orthogonal images contain odd
+    generators that do not graded-commute, and f3 is orthogonal to itself."""
+    carrier = ChainComplex({-1: 1, 0: 2, 1: 1})
+    h = heisenberg(PresymplecticComplex(carrier, {(3, 0): 1, (0, 3): 1, (1, 2): 1, (2, 1): -1}))
+    maps = {"f1": {-1: [[1]], 0: [[1, 0], [0, 1]], 1: [[1]]},
+            "f2": {-1: [[Fraction(1, 2)]], 0: [[1, 0], [1, 1]], 1: [[2]]},
+            "f3": {-1: [[-1]], 0: [[1, 1], [0, 1]], 1: [[-1]]}}
+    cat = OrthCategory(["c", "c1", "c2", "c3"],
+                       {f: (f"c{f[1]}", "c") for f in maps}, {},
+                       orth=[("f1", "f2"), ("f3", "f1"), ("f3", "f3")])
+    actions = {f: heisenberg_map(ChainMap(carrier, carrier, {n: RationalMatrix.from_rows(rows)
+                                                             for n, rows in comps.items()}), h, h)
+               for f, comps in maps.items()}
+    return FieldTheory(cat, "uLie", {obj: h for obj in cat.objects}, actions)
+
+
+def per_order_monomial_violations(qft):
+    """Reference: every ordered orthogonal pair evaluated on its own."""
+    n = qft.truncation
+    out = []
+    for f1, f2 in sorted(qft.base.orth):
+        env_c = qft.algebra(qft.base.target(f1))
+        words1 = qft.algebra(qft.base.source(f1)).monomials(n - 1)
+        images1 = qft.action[f1].apply_words(words1)
+        images2 = [(v, y) for v, y in qft.action[f2].apply_words(
+            qft.algebra(qft.base.source(f2)).monomials(n - 1)).items() if v]
+        for u in words1[1:]:
+            for v, y in images2:
+                if len(u) + len(v) > n:
+                    continue
+                comm = env_c.commutator(images1[u], y)
+                if comm:
+                    out.append(((f1, f2), (u, v), comm))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mirrored_causality_matches_per_order_check(n):
+    odd = odd_crossed_theory()
+    assert validate_functor(odd) == []
+    for lft in (crossed_theory(), odd):
+        qft = quantize(lft, n, check=False)
+        found = [(v.pair, v.witness, v.discrepancy) for v in check_causality(qft)]
+        assert found == per_order_monomial_violations(qft)
+    # the sign (-1)^(|u||v|) is exercised: odd-odd witnesses fail on the mirrored pairs
+    env = qft.algebra("c")
+    odd_pairs = {v.pair for v in check_causality(qft)
+                 if env.word_degree(v.witness[0]) * env.word_degree(v.witness[1]) % 2}
+    assert {("f1", "f2"), ("f2", "f1"), ("f1", "f3"), ("f3", "f1"), ("f3", "f3")} <= odd_pairs
 
 
 # -- dequantization ------------------------------------------------------------------
