@@ -7,11 +7,13 @@ No floating point is used anywhere; all results are exact.
 Two eliminations answer two kinds of question.  ``rank`` needs only a number,
 so it pivots for sparsity (Markowitz: sparsest row, then that row's sparsest
 column), eliminates only the rows not yet used and never back-substitutes.
-``rref``, ``kernel_basis`` and ``solve_many`` need a basis, so they run
-Gauss-Jordan with pivot columns left to right; within a column the pivot is
-the sparsest row holding it.  The reduced row echelon form is unique, so the
-pivot order never shows in a result: every reported basis is the canonical
-one.
+It works on primitive integer rows, whose updates only scale a row by a
+nonzero number and add a multiple of a pivot row: the rank over Q is exact,
+with no Fraction, modulus or certificate.  ``rref``, ``kernel_basis`` and
+``solve_many`` need a basis, so they run Gauss-Jordan over Fractions with
+pivot columns left to right; within a column the pivot is the sparsest row
+holding it.  The reduced row echelon form is unique, so the pivot order
+never shows in a result: every reported basis is the canonical one.
 
 Matrices are immutable after construction.  Ranks and row-reduction results
 are memoized on the matrix object, so repeated homology queries against the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
@@ -289,10 +292,12 @@ def rank(m: RationalMatrix) -> int:
     Unlike ``rref``, which must take pivot columns left to right to produce
     the canonical basis, this takes the sparsest remaining row and then that
     row's sparsest column (ties to the lower index), eliminates the column
-    from the rows not yet used, and drops the pivot row.  The rank does not
-    depend on the pivot order, so both routines agree; this one creates far
-    less fill-in and skips normalisation and back-substitution.  A cached
-    RREF is reused when present.
+    from the rows not yet used, and drops the pivot row.  Rows are cleared of
+    denominators and made primitive; a row with entry ``f`` under the pivot
+    ``pv`` becomes ``(pv//g)*row - (f//g)*pivot_row`` (``g = gcd(pv, f)``),
+    divided by its content when ``pv//g != 1``.  Such steps keep the rank
+    over Q, and so does any pivot order: ``rank`` is exact and agrees with
+    ``rref``, whose cached result it reuses when present.
     """
     if m._rank is None:
         m._rank = m._rref[0] if m._rref is not None else _markowitz_rank(m)
@@ -305,6 +310,11 @@ def _markowitz_rank(m: RationalMatrix) -> int:
     for (r, c), v in m.entries.items():
         rows[r][c] = v
         colindex.setdefault(c, set()).add(r)
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        for c, v in row.items():
+            row[c] = v.numerator * (den // v.denominator)
+        _divide_content(row)
     # heap entries go stale when a row changes length; a fresh entry is
     # pushed then, and a popped entry counts only if its length is current
     heap = [(len(row), ri) for ri, row in enumerate(rows) if row]
@@ -321,14 +331,19 @@ def _markowitz_rank(m: RationalMatrix) -> int:
             colindex[c].discard(pi)
         nrank += 1
         holders = colindex.pop(pc)
-        inv = -1 / prow[pc]
+        pv = prow.pop(pc)
+        if pv < 0:  # a positive pivot keeps a == 1 wherever it divides f
+            pv, prow = -pv, {k: -v for k, v in prow.items()}
         for ri in holders:
             row = rows[ri]
-            f = row.pop(pc) * inv
+            f = row.pop(pc)
+            g = gcd(pv, f)
+            a, f = pv // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in prow.items():
-                if k == pc:
-                    continue
-                nv = row.get(k, _ZERO) + f * v
+                nv = row.get(k, 0) - f * v
                 if nv:
                     if k not in row:
                         colindex[k].add(ri)
@@ -337,8 +352,18 @@ def _markowitz_rank(m: RationalMatrix) -> int:
                     del row[k]
                     colindex[k].discard(ri)
             if row:
+                if a != 1:
+                    _divide_content(row)
                 heapq.heappush(heap, (len(row), ri))
     return nrank
+
+
+def _divide_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, making it primitive."""
+    g = gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
 
 
 def kernel_basis(m: RationalMatrix) -> list:

@@ -12,8 +12,8 @@ from opfield.envelope import TruncatedEnvelope, ccr
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
 
-def run_cli(args, env=None):
-    proc = subprocess.run([sys.executable, "-m", "opfield.cli", *args],
+def run_cli(args, env=None, module="opfield.cli"):
+    proc = subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, env=env)
     return proc.returncode, proc.stdout
 
@@ -262,6 +262,13 @@ def test_cli_determinism_on_shipped_examples():
         code2, out2 = run_cli(job)
         assert (code1, out1) == (code2, out2), job
         assert out1.endswith(b"\n")
+
+
+def test_package_runs_as_a_module():
+    for job, code in ((["cs", "homology", str(DATA / "torus9.json")], 0),
+                      (["cs", "homology", str(DATA / "no_such_file.json")], 2)):
+        result = run_cli(job, module="opfield")
+        assert result == run_cli(job) and result[0] == code, job
 
 
 def test_reports_do_not_depend_on_hash_seed(tmp_path):

@@ -1,13 +1,25 @@
+import heapq
+import json
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opfield import exact
+from opfield.algebras import PresymplecticComplex
+from opfield.cherns import pairing
+from opfield.complexes import ChainComplex, homology_dims
+from opfield.envelope import ccr
 from opfield.exact import (RationalMatrix, kernel_basis, rank, rat, rat_str,
                            rref, solve, solve_many)
+from opfield.jsonio import surface_from_json
 from support import random_complex
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
 rationals = st.fractions(
     min_value=Fraction(-2**63), max_value=Fraction(2**63), max_denominator=2**63)
@@ -224,6 +236,48 @@ def sample_matrices():
     for _ in range(15):
         c = random_complex(rng)
         out.extend(c.d(n) for n in c.support)
+    return out + integer_rank_cases()
+
+
+def integer_rank_cases():
+    """Inputs for the integer elimination behind ``rank``: large numerators
+    over mixed denominators, rows with a common factor, repeated and
+    proportional rows, empty shapes and a dense rational block."""
+    rng = Random(2003)
+    out = []
+
+    def wide(rows, cols, density):
+        return RationalMatrix(rows, cols, {
+            (r, c): Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+            for r in range(rows) for c in range(cols) if rng.random() < density})
+
+    for _ in range(12):
+        out.append(wide(rng.randint(1, 9), rng.randint(1, 9), rng.choice((0.3, 0.6))))
+    for _ in range(12):
+        inner = rng.randint(1, 4)
+        out.append(wide(rng.randint(2, 9), inner, 0.7) @ wide(inner, rng.randint(2, 9), 0.7))
+    for _ in range(12):
+        # every row carries a common factor, over a denominator on some rows
+        base = wide(rng.randint(2, 8), rng.randint(2, 8), 0.6)
+        factors = [Fraction(rng.choice((2, 3, 6, 35)), rng.choice((1, 1, 4)))
+                   for _ in range(base.rows)]
+        out.append(RationalMatrix(base.rows, base.cols, {
+            (r, c): factors[r] * v.numerator for (r, c), v in base.entries.items()}))
+    for _ in range(12):
+        # duplicate and proportional copies of a few rows, shuffled
+        base = wide(rng.randint(1, 4), rng.randint(2, 8), 0.6).to_rows()
+        rows = list(base)
+        for _ in range(rng.randint(1, 5)):
+            q = Fraction(rng.choice((1, 1, -1, 2, -7)), rng.choice((1, 3, 12)))
+            rows.append([q * v for v in rng.choice(base)])
+        rng.shuffle(rows)
+        out.append(RationalMatrix.from_rows(rows))
+    out.append(RationalMatrix.from_rows([[2, 4, 6], [-3, -6, -9], [Fraction(1, 2), 1, Fraction(3, 2)]]))
+    out.append(RationalMatrix.from_rows([[4, 6], [6, 9], [10, 15]]))
+    out.append(RationalMatrix.zero(4, 5))
+    out.append(RationalMatrix.zero(0, 5))
+    out.append(RationalMatrix.zero(5, 0))
+    out.append(wide(30, 30, 1.0))
     return out
 
 
@@ -231,9 +285,74 @@ def fresh(m):
     return RationalMatrix(m.rows, m.cols, m.entries)
 
 
+def reference_markowitz_rank(m):
+    """Rank by Markowitz elimination over Fractions: the sparsest row, then
+    its sparsest column, eliminated from the rows not yet used."""
+    rows = [dict() for _ in range(m.rows)]
+    colindex = {}
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+        colindex.setdefault(c, set()).add(r)
+    heap = [(len(row), ri) for ri, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    nrank = 0
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows[pi]
+        if prow is None or len(prow) != length:
+            continue
+        rows[pi] = None
+        pc = min(prow, key=lambda c: (len(colindex[c]), c))
+        for c in prow:
+            colindex[c].discard(pi)
+        nrank += 1
+        holders = colindex.pop(pc)
+        inv = -1 / prow[pc]
+        for ri in holders:
+            row = rows[ri]
+            f = row.pop(pc) * inv
+            for k, v in prow.items():
+                if k == pc:
+                    continue
+                nv = row.get(k, Fraction(0)) + f * v
+                if nv:
+                    if k not in row:
+                        colindex[k].add(ri)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    colindex[k].discard(ri)
+            if row:
+                heapq.heappush(heap, (len(row), ri))
+    return nrank
+
+
 def test_rank_matches_reference_elimination():
     for m in sample_matrices():
-        assert rank(fresh(m)) == reference_rref(m)[0], m
+        expected = reference_rref(m)[0]
+        assert reference_markowitz_rank(m) == expected, m
+        assert rank(fresh(m)) == expected, m
+
+
+def test_common_factors_are_divided_out(monkeypatch):
+    divided = []
+    divide = exact._divide_content
+
+    def spy(row):
+        before = gcd(*row.values())
+        divide(row)
+        assert gcd(*row.values()) == min(before, 1)  # gcd() of no entries is 0
+        divided.append(before)
+
+    monkeypatch.setattr(exact, "_divide_content", spy)
+    # loading divides [4, 6] by 2 and leaves [3, 1]; the pivot 2 at (0, 0)
+    # turns row 1 into 2*[3, 1] - 3*[2, 3] = [0, -7], whose content is 7
+    assert rank(RationalMatrix.from_rows([[4, 6], [3, 1]])) == 2
+    assert divided == [2, 1, 7]
+    divided.clear()
+    for m in integer_rank_cases():
+        assert rank(fresh(m)) == reference_markowitz_rank(m), m
+    assert sum(g > 1 for g in divided) > 10
 
 
 def test_canonical_results_equal_reference_elimination():
@@ -255,3 +374,28 @@ def test_rank_and_rref_agree_whichever_is_cached_first():
         rref_first = fresh(m)
         assert rref(rref_first) == expected
         assert rank(rref_first) == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# CCR stage differentials of the shipped surfaces, under shuffled vertex orders
+
+def shuffled_surface(name, seed):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    order = list(range(doc["vertices"]))
+    Random(seed).shuffle(order)
+    doc["vertex_order"] = order
+    return surface_from_json(doc)
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+@pytest.mark.parametrize("name,n", [("annulus2", 4), ("tetra_sphere", 3), ("torus9", 2)])
+def test_stage_ranks_match_fraction_reference(name, n, seed):
+    p = pairing(shuffled_surface(name, seed))
+    stage = ccr(p, n).stage_complex()
+    for k in stage.support:
+        assert rank(stage.d(k)) == reference_markowitz_rank(stage.d(k)), k
+    # H(Sym^{<=n} V) = Sym^{<=n} H(V): the stage dims of the CCR algebra on
+    # H(V) with zero pairing
+    h = ChainComplex(homology_dims(p.carrier))
+    sym = ccr(PresymplecticComplex(h, {}), n).stage_dims(n)
+    assert homology_dims(stage) == {k: v for k, v in sym.items() if v}
