@@ -8,7 +8,9 @@ differential is a graded derivation of each generator operation) and that the
 named presentation's relations hold.  Every such identity is checked on
 tensors, from their nonzero entries (see :mod:`opfield.operads`): both sides
 are compiled into sparse tensors and compared, and the basis tuples where
-they differ are the witnesses.
+they differ are the witnesses.  Elements and structure tensors never hold a
+zero coefficient: :class:`DgAlgebra` drops zero entries of its input, and
+all sums go through :func:`opfield.exact._add_into`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError
-from .exact import RationalMatrix, rat
+from .exact import _ONE, RationalMatrix, _add_into, rat
 from . import operads
 from .operads import Tensor, by_output, check_relations, combine, contract, named_presentation
 
@@ -28,7 +30,7 @@ Element = Dict[int, Fraction]
 class GradedBasis:
     """Flattening of a complex's per-degree bases in increasing degree order."""
 
-    __slots__ = ("complex", "degrees", "offsets", "_d_columns")
+    __slots__ = ("complex", "degrees", "offsets")
 
     def __init__(self, c: ChainComplex):
         self.complex = c
@@ -37,7 +39,6 @@ class GradedBasis:
         for n in c.support:
             self.offsets[n] = len(self.degrees)
             self.degrees.extend([n] * c.dim(n))
-        self._d_columns = None
 
     @property
     def total(self) -> int:
@@ -54,39 +55,37 @@ class GradedBasis:
         return n, i - self.offsets[n]
 
     def differential(self, x: Element) -> Element:
-        columns = self._d_columns
-        if columns is None:
-            columns = self._d_columns = {}
-            for n, d in self.complex.diffs.items():
-                for (r, col), v in d.entries.items():
-                    columns.setdefault(self.offsets[n] + col, []).append((self.offsets[n - 1] + r, v))
-        out: Element = {}
-        for i, c in x.items():
-            for j, v in columns.get(i, ()):
-                nv = out.get(j, Fraction(0)) + c * v
-                if nv:
-                    out[j] = nv
-                elif j in out:
-                    del out[j]
-        return out
+        return _apply_blocks(self.complex.diffs, self, self, -1, x)
 
     def d_rows(self) -> Dict[int, list]:
         """The differential as an arity-1 tensor indexed by row (see operads.by_output)."""
-        return by_output({(i,): self.differential({i: Fraction(1)}) for i in range(self.total)})
+        return by_output({(i,): self.differential({i: _ONE}) for i in range(self.total)})
+
+
+def _apply_blocks(blocks: Mapping[int, RationalMatrix], source: GradedBasis, target: GradedBasis,
+                  shift: int, x: Element) -> Element:
+    """Image of a flattened element under a degreewise map whose block n takes
+    source degree n to target degree n + shift."""
+    out: Element = {}
+    for i, c in x.items():
+        n, li = source.to_local(i)
+        block = blocks.get(n)
+        if block is not None:
+            off = target.offsets[n + shift]
+            _add_into(out, ((off + r, v) for r, v in block._by_column().get(li, ())), c)
+    return out
 
 
 def element_add(x: Element, y: Element) -> Element:
+    """``x + y`` for sparse vectors: algebra elements, and PBW elements as
+    :func:`opfield.envelope.pbw_add`."""
     out = dict(x)
-    for k, v in y.items():
-        nv = out.get(k, Fraction(0)) + v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
+    _add_into(out, y.items())
     return out
 
 
 def element_scale(c, x: Element) -> Element:
+    """``c * x`` for sparse vectors, as :func:`opfield.envelope.pbw_scale` too."""
     c = rat(c)
     if not c:
         return {}
@@ -114,6 +113,7 @@ class DgAlgebra:
             raise StructuralError(f"structure maps for unknown generators: {sorted(unknown)}")
         total = self.basis.total
         for gen in self.presentation.alphabet.generators:
+            tensor: Tensor = {}  # the checked entries, without zeros
             for key, cell in self.tensor(gen.name).items():
                 where = f"{gen.name} entry {key}"
                 if len(key) != gen.arity:
@@ -122,6 +122,10 @@ class DgAlgebra:
                     check_index(i, total, f"{where}: input")
                 for j in cell:
                     check_index(j, total, f"{where}: output")
+                cell = {j: v for j, v in cell.items() if v}
+                if cell:
+                    tensor[key] = cell
+            self.structure[gen.name] = tensor.get((), {}) if gen.arity == 0 else tensor
 
     # -- element protocol used by operads.evaluate ---------------------------
     def zero_element(self) -> Element:
@@ -142,7 +146,7 @@ class DgAlgebra:
         return degs.pop()
 
     def basis_elements(self) -> List[Element]:
-        return [{i: Fraction(1)} for i in range(self.basis.total)]
+        return [{i: _ONE} for i in range(self.basis.total)]
 
     def tensor(self, name: str) -> Tensor:
         """A generator's structure tensor; the arity-0 one is keyed by ``()``."""
@@ -150,7 +154,7 @@ class DgAlgebra:
         return ({(): t} if t else {}) if self.presentation.alphabet[name].arity == 0 else t
 
     def basis_element(self, i: int) -> Element:
-        return {i: Fraction(1)}
+        return {i: _ONE}
 
     def apply_generator(self, name: str, args: Sequence[Element]) -> Element:
         gen = self.presentation.alphabet[name]
@@ -160,19 +164,13 @@ class DgAlgebra:
         if gen.arity == 0:
             return dict(tensor)
         out: Element = {}
-        combos = [((), Fraction(1))]
+        combos = [((), _ONE)]
         for x in args:
             combos = [(key + (i,), c * v) for key, c in combos for i, v in x.items()]
         for key, c in combos:
             cell = tensor.get(key)
-            if not cell:
-                continue
-            for j, w in cell.items():
-                nv = out.get(j, Fraction(0)) + c * w
-                if nv:
-                    out[j] = nv
-                elif j in out:
-                    del out[j]
+            if cell:
+                _add_into(out, cell.items(), c)
         return out
 
     def differential(self, x: Element) -> Element:
@@ -208,7 +206,7 @@ def _derivation_defect(a: DgAlgebra, gen_name: str) -> List[str]:
         return []
     tensor = a.tensor(gen_name)
     d_rows = a.basis.d_rows()
-    terms = [({key: a.differential(cell) for key, cell in tensor.items()}, Fraction(1))]
+    terms = [({key: a.differential(cell) for key, cell in tensor.items()}, _ONE)]
     for m in range(gen.arity):
         slots = [None] * gen.arity
         slots[m] = d_rows
@@ -250,29 +248,19 @@ def is_algebra_morphism(f: ChainMap, source: DgAlgebra, target: DgAlgebra) -> Li
         lhs = {key: push_element(f, source.basis, target.basis, cell)
                for key, cell in source.tensor(gen.name).items()}
         rhs = contract(target.tensor(gen.name), [f_rows] * gen.arity)
-        diff = combine([(lhs, Fraction(1)), (rhs, Fraction(-1))])
+        diff = combine([(lhs, _ONE), (rhs, Fraction(-1))])
         issues.extend(f"{gen.name} not intertwined at basis tuple {key}" for key in sorted(diff))
     return issues
 
 
 def push_element(f: ChainMap, source_basis: GradedBasis, target_basis: GradedBasis, x: Element) -> Element:
     """Apply a chain map to a flattened element."""
-    out: Element = {}
-    for i, c in x.items():
-        n, li = source_basis.to_local(i)
-        for r, v in f.columns(n).get(li, ()):
-            j = target_basis.to_global(n, r)
-            nv = out.get(j, Fraction(0)) + c * v
-            if nv:
-                out[j] = nv
-            elif j in out:
-                del out[j]
-    return out
+    return _apply_blocks(f.components, source_basis, target_basis, 0, x)
 
 
 def push_rows(f: ChainMap, source_basis: GradedBasis, target_basis: GradedBasis) -> Dict[int, list]:
     """A chain map as an arity-1 tensor indexed by target row (see operads.by_output)."""
-    return by_output({(i,): push_element(f, source_basis, target_basis, {i: Fraction(1)})
+    return by_output({(i,): push_element(f, source_basis, target_basis, {i: _ONE})
                       for i in range(source_basis.total)})
 
 
@@ -331,8 +319,8 @@ class PresymplecticComplex:
                 issues.append(f"omega not graded-antisymmetric at ({i}, {j})")
         omega = {key: {0: v} for key, v in self.omega.items()}
         d_rows = self.basis.d_rows()
-        defects = combine([(contract(omega, [d_rows, None]), Fraction(1)),
-                           (_signed(contract(omega, [None, d_rows]), degrees, 1), Fraction(1))])
+        defects = combine([(contract(omega, [d_rows, None]), _ONE),
+                           (_signed(contract(omega, [None, d_rows]), degrees, 1), _ONE)])
         issues.extend(f"omega not a chain map at ({i}, {j})" for i, j in sorted(defects))
         return issues
 

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from .algebras import PresymplecticComplex, heisenberg, heisenberg_map
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _add_into
 from .fieldtheory import FieldTheory, OrthCategory, orth_closure, quantize
 
 Edge = Tuple[int, int]
@@ -238,25 +238,22 @@ def pairing(m: TriangulatedSurface) -> PresymplecticComplex:
     tidx = {t: t_off + i for i, t in enumerate(tris)}
 
     cup: Dict[Tuple[int, int], Fraction] = {}
-
-    def add_cup(i: int, j: int, value: Fraction) -> None:
-        if value:
-            cup[(i, j)] = cup.get((i, j), Fraction(0)) + value
-
     for t in tris:
         a, b, c = t
         w = Fraction(m.orientation[t])
+        terms = []
         # 1-cochain cup 1-cochain: front edge (a,b), back edge (b,c)
         i = eidx.get((a, b))
         j = eidx.get((b, c))
         if i is not None and j is not None:
-            add_cup(i, j, w)
+            terms.append(((i, j), w))
         # 0-cochain cup 2-cochain: front vertex a
         if a in vidx:
-            add_cup(vidx[a], tidx[t], w)
+            terms.append(((vidx[a], tidx[t]), w))
         # 2-cochain cup 0-cochain: back vertex c
         if c in vidx:
-            add_cup(tidx[t], vidx[c], w)
+            terms.append(((tidx[t], vidx[c]), w))
+        _add_into(cup, terms)
 
     basis_degree = {}
     for t, i in tidx.items():
@@ -271,12 +268,7 @@ def pairing(m: TriangulatedSurface) -> PresymplecticComplex:
         di, dj = basis_degree[i], basis_degree[j]
         term = _HALF * _ELL_SIGN[dj] * value
         koszul = -1 if (di * dj) % 2 else 1
-        for key, contrib in (((i, j), term), ((j, i), -koszul * term)):
-            acc = omega.get(key, Fraction(0)) + contrib
-            if acc:
-                omega[key] = acc
-            elif key in omega:
-                del omega[key]
+        _add_into(omega, (((i, j), term), ((j, i), -koszul * term)))
     return PresymplecticComplex(carrier, omega)
 
 

@@ -10,6 +10,7 @@ assertion failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -65,6 +66,12 @@ def _dims_report(dims) -> dict:
     return {str(n): d for n, d in dims.items()}
 
 
+def _homology_report(c) -> dict:
+    """Homology dimension of every degree in the support, zeros included."""
+    dims = homology_dims(c)
+    return {str(n): dims.get(n, 0) for n in c.support}
+
+
 def cmd_validate(args) -> int:
     doc = _load(args.file)
     kind = jsonio.sniff_type(doc)
@@ -103,8 +110,7 @@ def cmd_homology(args) -> int:
     if args.degree is not None:
         _emit({"homology": {str(args.degree): homology_dim(c, args.degree)}}, args.out)
         return 0
-    dims = {str(n): homology_dims(c).get(n, 0) for n in c.support}
-    _emit({"homology": dims}, args.out)
+    _emit({"homology": _homology_report(c)}, args.out)
     return 0
 
 
@@ -181,9 +187,7 @@ def cmd_check_w(args) -> int:
 def cmd_cs(args) -> int:
     surface = jsonio.surface_from_json(_load(args.file))
     if args.cs_verb == "homology":
-        c = cs_complex(surface)
-        dims = {str(n): homology_dims(c).get(n, 0) for n in c.support}
-        _emit(dims, args.out)
+        _emit(_homology_report(cs_complex(surface)), args.out)
         return 0
     if args.cs_verb == "pairing":
         p = pairing(surface)
@@ -219,13 +223,15 @@ def cmd_cs(args) -> int:
         _emit({
             "truncation": args.n,
             "stage_dims": _dims_report(stage.dims),
-            "homology": {str(n): homology_dims(stage).get(n, 0) for n in stage.support},
+            "homology": _homology_report(stage),
         }, args.out)
         return 0
     raise StructuralError(f"unknown cs subcommand {args.cs_verb!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="opfield",
         description="Exact computer algebra for operadic field theories.")

@@ -11,13 +11,10 @@ so basis choices are reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import StructuralError
 from .exact import RationalMatrix, Vector, kernel_basis, rank, rref, solve_many
-
-_ONE = Fraction(1)
 
 
 class ChainComplex:
@@ -138,7 +135,7 @@ def homology_dims(c: ChainComplex) -> Dict[int, int]:
 class ChainMap:
     """Degree-wise matrices commuting with the differentials."""
 
-    __slots__ = ("source", "target", "components", "_columns")
+    __slots__ = ("source", "target", "components")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  components: Optional[Dict[int, RationalMatrix]] = None):
@@ -154,7 +151,6 @@ class ChainMap:
                 )
             if not m.is_zero():
                 self.components[n] = m
-        self._columns = {}
 
     @classmethod
     def identity(cls, c: ChainComplex) -> "ChainMap":
@@ -169,15 +165,6 @@ class ChainMap:
         if m is None:
             return RationalMatrix.zero(self.target.dim(n), self.source.dim(n))
         return m
-
-    def columns(self, n: int) -> Dict[int, List[Tuple[int, Fraction]]]:
-        """Component ``n`` indexed by column, col -> [(row, value)]; built once."""
-        cols = self._columns.get(n)
-        if cols is None:
-            cols = self._columns[n] = {}
-            for (r, c), v in self.component(n).entries.items():
-                cols.setdefault(c, []).append((r, v))
-        return cols
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
@@ -268,27 +255,21 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         for col, key in enumerate(basis):
             index[key] = col
     diff_entries: Dict[int, dict] = {}
-
-    def columns_of(mat: RationalMatrix) -> Dict[int, list]:
-        cols: Dict[int, list] = {}
-        for (r, cc), v in mat.entries.items():
-            cols.setdefault(cc, []).append((r, v))
-        return cols
-
-    c_cols = {p: columns_of(c.d(p)) for p in c.support}
-    d_cols = {q: columns_of(d.d(q)) for q in d.support}
+    c_cols = {p: c.d(p)._by_column() for p in c.support}
+    d_cols = {q: d.d(q)._by_column() for q in d.support}
+    # each (row, col) is hit once: dx (x) y and x (x) dy lie in different summands
     for n, basis in ordered.items():
         entries = diff_entries.setdefault(n, {})
         for col, (p, q, i, j) in enumerate(basis):
             for r, v in c_cols[p].get(i, ()):
                 row = index.get((p - 1, q, r, j))
                 if row is not None:
-                    entries[(row, col)] = entries.get((row, col), 0) + v
+                    entries[(row, col)] = v
             sign = -1 if p % 2 else 1
             for r, v in d_cols[q].get(j, ()):
                 row = index.get((p, q - 1, i, r))
                 if row is not None:
-                    entries[(row, col)] = entries.get((row, col), 0) + sign * v
+                    entries[(row, col)] = sign * v
     diffs = {}
     for n, entries in diff_entries.items():
         rows = dims.get(n - 1, 0)

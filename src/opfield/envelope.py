@@ -14,10 +14,11 @@ with brackets re-expanded in the generator basis plus a multiple of the empty
 word through the unit component, which leaves inserts into the shorter x_h:
 leftmost rewriting, reordered.  Inserts are memoized on (m, p) and resolved
 on an explicit stack, so no word recurses in Python; sums are built in place
-by one accumulator, ``out += c * x``.  A hard word-length bound
-``truncation`` restricts everything to a filtration stage; products that
-would exceed it raise :class:`TruncationOverflow` instead of silently
-quotienting, because the span of long words is not an ideal.
+by the package's sparse kernel, ``out += c * x``
+(:func:`opfield.exact._add_into`).  A hard word-length bound ``truncation``
+restricts everything to a filtration stage; products that would exceed it
+raise :class:`TruncationOverflow` instead of silently quotienting, because
+the span of long words is not an ideal.
 
 A stage's per-degree dimensions (:meth:`TruncatedEnvelope.stage_dims`) are
 counted from the degrees of its PBW monomials; the stage chain complex, with
@@ -31,48 +32,22 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import operads
 from .algebras import DgAlgebra, Element, PresymplecticComplex, element_add, element_scale, heisenberg
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError, TruncationOverflow
-from .exact import RationalMatrix, rat
+from .exact import _ONE, RationalMatrix, _add_into
 
 Word = Tuple[int, ...]
 PBWElement = Dict[Word, Fraction]
 
-_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 _HALF = Fraction(1, 2)
 
-
-def _accumulate(out: PBWElement, terms: Iterable[Tuple[Word, Fraction]], c: Fraction = _ONE) -> None:
-    """``out += c * terms`` in place, dropping zero sums; new words go last, and
-    the shared ``_ONE``, as ``c`` or as a term's coefficient, is not multiplied."""
-    for w, v in terms:
-        if c is not _ONE:
-            v = c if v is _ONE else c * v
-        old = out.get(w)
-        if old is not None:
-            v = old + v
-            if not v:
-                del out[w]
-                continue
-        out[w] = v
-
-
-def pbw_add(x: PBWElement, y: PBWElement) -> PBWElement:
-    out = dict(x)
-    _accumulate(out, y.items())
-    return out
-
-
-def pbw_scale(c, x: PBWElement) -> PBWElement:
-    c = rat(c)
-    if not c:
-        return {}
-    return {w: c * v for w, v in x.items()}
+# sums and multiples of PBW elements are those of any sparse vector
+pbw_add, pbw_scale = element_add, element_scale
 
 
 def pbw_unit() -> PBWElement:
@@ -83,12 +58,11 @@ class TruncatedEnvelope:
     """Filtration stage of the enveloping algebra of a unital dg Lie algebra.
 
     ``gens`` lists the source basis indices that span the complement of the
-    unit direction, in the order used for PBW monomials.  The default order
-    is the carrier's degree-then-index order.
+    unit direction, in the order used for PBW monomials: the carrier's
+    degree-then-index order.
     """
 
-    def __init__(self, source: DgAlgebra, truncation: int,
-                 basis_order: Optional[Sequence[int]] = None):
+    def __init__(self, source: DgAlgebra, truncation: int):
         if source.kind != "uLie":
             raise StructuralError(f"envelope expects a unital Lie algebra, got kind {source.kind}")
         if truncation < 0:
@@ -100,12 +74,8 @@ class TruncatedEnvelope:
         self.source = source
         self.truncation = truncation
         self.unit_index, self.unit_coeff = unit
-        default = [i for i in range(source.basis.total) if i != self.unit_index]
-        if basis_order is None:
-            basis_order = default
-        elif sorted(basis_order) != sorted(default):
-            raise StructuralError("basis_order must list every non-unit basis index exactly once")
-        self.gens: Tuple[int, ...] = tuple(basis_order)
+        self.gens: Tuple[int, ...] = tuple(i for i in range(source.basis.total)
+                                           if i != self.unit_index)
         self.gen_degree = [source.basis.degree_of(i) for i in self.gens]
         self._odd = [d % 2 == 1 for d in self.gen_degree]
         self._pos = {src: p for p, src in enumerate(self.gens)}
@@ -121,7 +91,7 @@ class TruncatedEnvelope:
         out: PBWElement = {}
         for i, c in x.items():
             word, c = ((), c / self.unit_coeff) if i == self.unit_index else ((self._pos[i],), c)
-            _accumulate(out, ((word, c),))
+            _add_into(out, ((word, c),))
         return out
 
     def generator(self, p: int) -> PBWElement:
@@ -175,7 +145,7 @@ class TruncatedEnvelope:
         for p in word[k + 1:]:
             nxt: PBWElement = {}
             for m, c in acc.items():
-                _accumulate(nxt, self._insert(m, p).items(), c)
+                _add_into(nxt, self._insert(m, p).items(), c)
             acc = nxt
         return acc
 
@@ -211,10 +181,10 @@ class TruncatedEnvelope:
         else:
             odd = self._odd[a] and self._odd[p]
             for t, c in (yield h, p).items():
-                _accumulate(out, (yield t, a).items(), -c if odd else c)
+                _add_into(out, (yield t, a).items(), -c if odd else c)
             bracket = self._bracket(a, p)
         for r, c in bracket.items():
-            _accumulate(out, (yield h, r[0]).items() if r else ((h, _ONE),), c)
+            _add_into(out, (yield h, r[0]).items() if r else ((h, _ONE),), c)
         return out
 
     # -- algebra operations -----------------------------------------------------
@@ -226,14 +196,14 @@ class TruncatedEnvelope:
                     raise TruncationOverflow(
                         f"product of words of lengths {len(w1)} and {len(w2)} exceeds "
                         f"truncation {self.truncation}; raise the bound")
-                _accumulate(out, self._nf(w1 + w2).items(), c2 if c1 is _ONE else c1 * c2)
+                _add_into(out, self._nf(w1 + w2).items(), c2 if c1 is _ONE else c1 * c2)
         return out
 
     def commutator(self, x: PBWElement, y: PBWElement) -> PBWElement:
         """Graded commutator; inputs must be homogeneous."""
         odd = (self.element_degree(x) or 0) * (self.element_degree(y) or 0) % 2
         out = self.multiply(x, y)
-        _accumulate(out, self.multiply(y, x).items(), _ONE if odd else _MINUS_ONE)
+        _add_into(out, self.multiply(y, x).items(), _ONE if odd else _MINUS_ONE)
         return out
 
     def element_degree(self, x: PBWElement) -> Optional[int]:
@@ -247,7 +217,7 @@ class TruncatedEnvelope:
     def differential(self, x: PBWElement) -> PBWElement:
         out: PBWElement = {}
         for w, c in x.items():
-            _accumulate(out, self._d_word(w).items(), c)
+            _add_into(out, self._d_word(w).items(), c)
         return out
 
     def _d_word(self, word: Word) -> PBWElement:
@@ -255,7 +225,7 @@ class TruncatedEnvelope:
         parity = 0
         for j, p in enumerate(word):
             for repl, c in self._dgen(p).items():
-                _accumulate(out, self._nf(word[:j] + repl + word[j + 1:]).items(),
+                _add_into(out, self._nf(word[:j] + repl + word[j + 1:]).items(),
                             -c if parity % 2 else c)
             parity += self.gen_degree[p]
         return out
@@ -331,9 +301,9 @@ class TruncatedEnvelope:
                 f"dim={len(self.monomials())})")
 
 
-def envelope(v: DgAlgebra, n_max: int, basis_order: Optional[Sequence[int]] = None) -> TruncatedEnvelope:
+def envelope(v: DgAlgebra, n_max: int) -> TruncatedEnvelope:
     """Filtration stage ``n_max`` of the unital universal enveloping algebra."""
-    return TruncatedEnvelope(v, n_max, basis_order)
+    return TruncatedEnvelope(v, n_max)
 
 
 def normal_form(word: Sequence[int], env: TruncatedEnvelope) -> PBWElement:
@@ -441,19 +411,17 @@ class EnvelopeMap:
         return ChainMap(src_complex, tgt_complex, matrices)
 
 
-def envelope_map(rho: ChainMap, source: DgAlgebra, target: DgAlgebra, n_max: int,
-                 validate: bool = True) -> EnvelopeMap:
+def envelope_map(rho: ChainMap, source: DgAlgebra, target: DgAlgebra, n_max: int) -> EnvelopeMap:
     """Functorial extension of a bracket- and unit-preserving chain map.
 
-    With ``validate`` the map is first checked to be a morphism of unital Lie
-    algebras; invalid maps are rejected with the list of defects.
+    The map is first checked to be a morphism of unital Lie algebras; invalid
+    maps are rejected with the list of defects.
     """
-    if validate:
-        from .algebras import is_algebra_morphism
+    from .algebras import is_algebra_morphism
 
-        issues = is_algebra_morphism(rho, source, target)
-        if issues:
-            raise StructuralError("not a unital Lie algebra morphism: " + "; ".join(issues))
+    issues = is_algebra_morphism(rho, source, target)
+    if issues:
+        raise StructuralError("not a unital Lie algebra morphism: " + "; ".join(issues))
     return EnvelopeMap(envelope(source, n_max), envelope(target, n_max), rho)
 
 
@@ -525,15 +493,15 @@ def _stability_defects(env: TruncatedEnvelope, a: DgAlgebra, images: Sequence[El
 
 
 def extend_from_generators(env: TruncatedEnvelope, a: DgAlgebra,
-                           images: Sequence[Element], validate: bool = True) -> Dict[Word, Element]:
-    """Left-to-right multiplicative extension kappa of generator images.
+                           images: Sequence[Element]) -> Dict[Word, Element]:
+    """Left-to-right multiplicative extension kappa of generator images,
+    after checking that they define a morphism.
 
     Returns the values of kappa on every PBW monomial of the stage.
     """
-    if validate:
-        issues = validate_lie_map_into_algebra(env, a, images)
-        if issues:
-            raise StructuralError("generator images do not define a morphism: " + "; ".join(issues))
+    issues = validate_lie_map_into_algebra(env, a, images)
+    if issues:
+        raise StructuralError("generator images do not define a morphism: " + "; ".join(issues))
     values: Dict[Word, Element] = {(): dict(a.structure[operads.ETA])}
     for w in env.monomials():
         if w == ():

@@ -15,9 +15,18 @@ pivot columns left to right; within a column the pivot is the sparsest row
 holding it.  The reduced row echelon form is unique, so the pivot order
 never shows in a result: every reported basis is the canonical one.
 
-Matrices are immutable after construction.  Ranks and row-reduction results
-are memoized on the matrix object, so repeated homology queries against the
-same differential do not re-eliminate.
+Matrices are immutable after construction.  Ranks, row-reduction results
+and the column index :meth:`RationalMatrix._by_column` are memoized on the
+matrix object, so repeated homology queries against the same differential do
+not re-eliminate and every map that reads a matrix column by column shares
+one index.
+
+Sparse vectors everywhere in the package (algebra elements, PBW elements,
+structure-tensor cells, matrix entries) are dicts that never hold a zero.
+They are summed by one private kernel, :func:`_add_into` (``out += c * x``
+in place), which deletes sums that reach zero but stores a new key as given:
+it relies on its inputs being zero-free, which is why every constructor that
+takes outside data drops zero entries.
 """
 
 from __future__ import annotations
@@ -31,6 +40,21 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _add_into(out: dict, terms: Iterable[tuple], c: Fraction = _ONE) -> None:
+    """``out += c * terms`` in place, dropping zero sums; new keys go last, and
+    the shared ``_ONE``, as ``c`` or as a term's coefficient, is not multiplied."""
+    for w, v in terms:
+        if c is not _ONE:
+            v = c if v is _ONE else c * v
+        old = out.get(w)
+        if old is not None:
+            v = old + v
+            if not v:
+                del out[w]
+                continue
+        out[w] = v
 
 
 def rat(value) -> Fraction:
@@ -66,7 +90,7 @@ class RationalMatrix:
     all operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_rank")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_rank", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Mapping = ()):
         if rows < 0 or cols < 0:
@@ -84,6 +108,7 @@ class RationalMatrix:
         self.entries = clean
         self._rref = None
         self._rank = None
+        self._columns = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -131,12 +156,13 @@ class RationalMatrix:
             data[r][c] = v
         return data
 
-    def column(self, c: int) -> Vector:
-        col = [_ZERO] * self.rows
-        for (r, cc), v in self.entries.items():
-            if cc == c:
-                col[r] = v
-        return tuple(col)
+    def _by_column(self) -> dict:
+        """The entries indexed by column, ``col -> [(row, value)]``; built once."""
+        if self._columns is None:
+            self._columns = {}
+            for (r, c), v in self.entries.items():
+                self._columns.setdefault(c, []).append((r, v))
+        return self._columns
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -152,8 +178,7 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
         entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, _ZERO) + v
+        _add_into(entries, other.entries.items())
         return RationalMatrix(self.rows, self.cols, entries)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -172,12 +197,13 @@ class RationalMatrix:
         by_row = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        entries = {}
+        rows = {}
         for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                entries[key] = entries.get(key, _ZERO) + v * w
-        return RationalMatrix(self.rows, other.cols, entries)
+            terms = by_row.get(k)
+            if terms:
+                _add_into(rows.setdefault(r, {}), terms, v)
+        return RationalMatrix(self.rows, other.cols,
+                              {(r, c): x for r, row in rows.items() for c, x in row.items()})
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product with a dense vector."""

@@ -194,15 +194,12 @@ class FieldTheory:
     def __init__(self, base: OrthCategory, kind: str,
                  assignment: Mapping[str, AlgebraLike],
                  action: Mapping[str, ActionLike],
-                 truncation: Optional[int] = None,
-                 distinguished_pair=None):
+                 truncation: Optional[int] = None):
         self.base = base
         self.kind = kind
         self.assignment = dict(assignment)
         self.truncation = truncation
-        if distinguished_pair is None:
-            distinguished_pair = operads.named_presentation(kind).distinguished_pair
-        self.distinguished_pair = distinguished_pair
+        self.distinguished_pair = operads.named_presentation(kind).distinguished_pair
         missing = set(base.objects) - set(self.assignment)
         if missing:
             raise StructuralError(f"no algebra assigned to objects {sorted(missing)}")
@@ -460,7 +457,7 @@ class OrthFunctor:
         return issues
 
 
-def pullback_theory(F: OrthFunctor, ft: FieldTheory, check: bool = True) -> FieldTheory:
+def pullback_theory(F: OrthFunctor, ft: FieldTheory) -> FieldTheory:
     """Precompose a theory with an orthogonal functor.
 
     Raises when ``F`` fails validation (in particular when it does not
@@ -474,11 +471,9 @@ def pullback_theory(F: OrthFunctor, ft: FieldTheory, check: bool = True) -> Fiel
         raise StructuralError("theory is not defined on the functor's target")
     assignment = {c: ft.algebra(F.object_map[c]) for c in F.source.objects}
     action = {m: ft.action[F.morphism_map[m]] for m in F.source.morphisms}
-    out = FieldTheory(F.source, ft.kind, assignment, action, truncation=ft.truncation,
-                      distinguished_pair=ft.distinguished_pair)
-    if check:
-        violations = check_causality(out)
-        if violations:
-            raise AssertionError("pullback broke causality: " +
-                                 "; ".join(str(v) for v in violations[:3]))
+    out = FieldTheory(F.source, ft.kind, assignment, action, truncation=ft.truncation)
+    violations = check_causality(out)
+    if violations:
+        raise AssertionError("pullback broke causality: " +
+                             "; ".join(str(v) for v in violations[:3]))
     return out

@@ -22,10 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import StructuralError
-from .exact import rat, rat_str
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .exact import _ONE, _add_into, rat, rat_str
 
 # A sparse multilinear map on basis vectors: input tuple -> {output index: coefficient}.
 Tensor = Dict[Tuple[int, ...], Dict[int, Fraction]]
@@ -192,19 +189,13 @@ class TreeSum:
 
     def __init__(self, terms: Mapping[OperadTree, Fraction] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: Dict[OperadTree, Fraction] = {}
-        arity = None
-        for t, c in items:
-            c = rat(c)
-            if not c:
-                continue
-            if arity is None:
-                arity = t.arity
-            elif t.arity != arity:
-                raise StructuralError("mixed arities in a tree combination")
-            clean[t] = clean.get(t, Fraction(0)) + c
-        self.terms = {t: c for t, c in clean.items() if c}
-        self.arity = arity
+        pairs = [(t, c) for t, c in ((t, rat(c)) for t, c in items) if c]
+        arities = {t.arity for t, _ in pairs}
+        if len(arities) > 1:
+            raise StructuralError("mixed arities in a tree combination")
+        self.arity = arities.pop() if arities else None
+        self.terms: Dict[OperadTree, Fraction] = {}
+        _add_into(self.terms, pairs)
 
     @classmethod
     def of(cls, t: OperadTree, coeff=1) -> "TreeSum":
@@ -216,8 +207,7 @@ class TreeSum:
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
         out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
+        _add_into(out, other.terms.items())
         return TreeSum(out)
 
     def __sub__(self, other: "TreeSum") -> "TreeSum":
@@ -362,15 +352,13 @@ class Relation:
 
 class OperadPresentation:
     def __init__(self, name: str, alphabet: GeneratorAlphabet, relations: Sequence[Relation],
-                 distinguished_pair: Optional[Tuple[TreeSum, TreeSum]] = None):
+                 distinguished_pair: Tuple[TreeSum, TreeSum]):
         self.name = name
         self.alphabet = alphabet
         self.relations = tuple(relations)
-        if distinguished_pair is not None:
-            r1, r2 = distinguished_pair
-            for r in (r1, r2):
-                if r.arity is not None and r.arity != 2:
-                    raise StructuralError("distinguished pair must have arity 2")
+        for r in distinguished_pair:
+            if r.arity is not None and r.arity != 2:
+                raise StructuralError("distinguished pair must have arity 2")
         self.distinguished_pair = distinguished_pair
 
 
@@ -403,20 +391,17 @@ def check_relations(p: OperadPresentation, algebra) -> List[RelationViolation]:
 # Sparse structure tensors
 # ---------------------------------------------------------------------------
 
-def _accumulate(terms: Iterable[Tuple[Tuple[int, ...], Mapping[int, Fraction], Fraction]]) -> Tensor:
+def _sum_cells(terms: Iterable[Tuple[Tuple[int, ...], Mapping[int, Fraction], Fraction]]) -> Tensor:
     """Sum of c * cell at key over (key, cell, c) terms, without zero entries."""
     out: Tensor = {}
     for key, cell, c in terms:
-        acc = out.setdefault(key, {})
-        for j, v in cell.items():
-            acc[j] = acc.get(j, _ZERO) + c * v
-    nonzero = ((key, {j: v for j, v in acc.items() if v}) for key, acc in out.items())
-    return {key: cell for key, cell in nonzero if cell}
+        _add_into(out.setdefault(key, {}), cell.items(), c)
+    return {key: cell for key, cell in out.items() if cell}
 
 
 def combine(terms: Iterable[Tuple[Tensor, Fraction]]) -> Tensor:
     """The linear combination sum(c * T) of tensors, without zero entries."""
-    return _accumulate((key, cell, c) for tensor, c in terms for key, cell in tensor.items())
+    return _sum_cells((key, cell, c) for tensor, c in terms for key, cell in tensor.items())
 
 
 def by_output(tensor: Tensor) -> Dict[int, list]:
@@ -444,7 +429,7 @@ def contract(tensor: Tensor, slots: Sequence[Optional[Mapping[int, list]]]) -> T
             for k, c in combos:
                 yield k, cell, c
 
-    return _accumulate(terms())
+    return _sum_cells(terms())
 
 
 def _planar_tensor(s: OperadTree, algebra) -> Tensor:
@@ -595,9 +580,8 @@ def _splice(image: OperadTree, subs: Sequence[TreeSum]) -> TreeSum:
         piece = _splice(child, subs)
         res: Dict[OperadTree, Fraction] = {}
         for t0, c0 in acc.terms.items():
-            for t1, c1 in piece.terms.items():
-                t = node(t0.gen, list(t0.children) + [t1])
-                res[t] = res.get(t, Fraction(0)) + c0 * c1
+            _add_into(res, ((node(t0.gen, list(t0.children) + [t1]), c1)
+                            for t1, c1 in piece.terms.items()), c0)
         return TreeSum(res)
 
     for ch in image.children:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from opfield import jsonio
 from opfield.cherns import pairing
 from opfield.cli import main
 from opfield.envelope import TruncatedEnvelope, ccr
+from support import matrix_algebra, sl2_with_unit
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
@@ -239,6 +241,50 @@ def test_planted_causality_violation_exits_one(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["causality"] == "violated"
     assert out["violations"]
+
+
+def with_zero_entries(adoc):
+    """An algebra document with explicit "0" rows in every structure map: one
+    on each input tuple that has entries, at an output it does not reach yet,
+    and one on the first input tuple that has none, all before the others."""
+    total = sum(adoc["carrier"]["dims"].values())
+    out = dict(adoc)
+    for key, arity in (("bracket", 2), ("mu", 2), ("pbracket", 2), ("unit", 0)):
+        if key not in adoc:
+            continue
+        rows = adoc[key]
+        taken = {tuple(row[:-1]) for row in rows}
+        inputs = sorted({tuple(row[:-2]) for row in rows})
+        if arity:
+            inputs.append(next(t for t in itertools.product(range(total), repeat=arity)
+                               if t not in inputs))
+        zeros = [[*t, next(k for k in range(total) if t + (k,) not in taken), "0"]
+                 for t in inputs]
+        out[key] = zeros + rows
+    return out
+
+
+def test_explicit_zero_coefficients_change_no_report(tmp_path, capsys):
+    # structure maps keep no zero entries, so "0" rows leave every report as it is
+    theory = json.loads((DATA / "toy3_theory.json").read_text())
+    zero_theory = {**theory, "algebras": {obj: with_zero_entries(adoc)
+                                          for obj, adoc in theory["algebras"].items()}}
+    jobs = [(["validate"], theory, zero_theory), (["check-causality"], theory, zero_theory)]
+    for a in (theory["algebras"]["c"], jsonio.algebra_to_json(sl2_with_unit()),
+              jsonio.algebra_to_json(matrix_algebra(2))):
+        jobs.append((["validate"], a, with_zero_entries(a)))
+        if a["kind"] == "uLie":
+            jobs.append((["envelope-dims", "--n", "3", "--algebra"], a, with_zero_entries(a)))
+    for argv, doc, zero_doc in jobs:
+        assert zero_doc != doc
+        reports = []
+        for d in (doc, zero_doc):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(d))
+            code = main(argv + [str(path)])
+            reports.append((code, capsys.readouterr().out))
+        assert reports[0][0] == 0, (argv, reports[0])
+        assert reports[1] == reports[0], argv
 
 
 def test_cli_determinism_on_shipped_examples():

@@ -160,6 +160,58 @@ def test_entry_bounds_checked():
         RationalMatrix(2, 2, {(2, 0): 1})
 
 
+def naive_add_into(out, terms, c):
+    for k, v in terms:
+        out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_add_into_matches_a_naive_dict_sum():
+    rng = Random(2101)
+    values = [Fraction(n, d) for n in range(-3, 4) if n for d in (1, 2, 3)] + [exact._ONE]
+    for _ in range(300):
+        out = {rng.randrange(10): rng.choice(values) for _ in range(rng.randrange(8))}
+        for c in (exact._ONE, Fraction(-2, 3), 3):
+            terms = [(rng.randrange(10), rng.choice(values)) for _ in range(rng.randrange(10))]
+            # cancellations: a key of ``out`` sent to zero, and two terms that cancel
+            if out:
+                k = rng.choice(list(out))
+                terms.append((k, -out[k] / c))
+            v = rng.choice(values)
+            terms += [(10, v), (10, -v)]
+            rng.shuffle(terms)
+            expected = naive_add_into(dict(out), terms, c)
+            got = dict(out)
+            exact._add_into(got, terms, c)
+            assert got == expected
+            assert all(got.values()) and 10 not in got
+
+
+def test_by_column_groups_the_entries():
+    for m in sample_matrices():
+        grouped = {}
+        for (r, c), v in sorted(m.entries.items()):
+            grouped.setdefault(c, []).append((r, v))
+        assert {c: sorted(col) for c, col in m._by_column().items()} == grouped
+        assert m._by_column() is m._by_column()
+
+
+def test_sum_and_product_match_dense_arithmetic():
+    rng = Random(2102)
+    for _ in range(60):
+        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = random_sparse(rng, rows, inner, 0.5), random_sparse(rng, inner, cols, 0.5)
+        ra, rb = a.to_rows(), b.to_rows()
+        product = [[sum((ra[i][k] * rb[k][j] for k in range(inner)), Fraction(0))
+                    for j in range(cols)] for i in range(rows)]
+        assert (a @ b).to_rows() == product
+        assert 0 not in (a @ b).entries.values()
+        c = random_sparse(rng, rows, inner, 0.5)
+        assert (a + c).to_rows() == [[x + y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(ra, c.to_rows())]
+        assert (a - a).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # reference elimination: dense Gauss-Jordan that takes pivot columns left to
 # right and, in each column, the lowest-index unused row with a nonzero entry
