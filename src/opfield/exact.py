@@ -4,16 +4,20 @@ Everything downstream (homology, normal forms, causality checks) reduces to
 rank / kernel / solve questions about sparse matrices with Fraction entries.
 No floating point is used anywhere; all results are exact.
 
-Two eliminations answer two kinds of question.  ``rank`` needs only a number,
-so it pivots for sparsity (Markowitz: sparsest row, then that row's sparsest
-column), eliminates only the rows not yet used and never back-substitutes.
-It works on primitive integer rows, whose updates only scale a row by a
-nonzero number and add a multiple of a pivot row: the rank over Q is exact,
-with no Fraction, modulus or certificate.  ``rref``, ``kernel_basis`` and
-``solve_many`` need a basis, so they run Gauss-Jordan over Fractions with
-pivot columns left to right; within a column the pivot is the sparsest row
-holding it.  The reduced row echelon form is unique, so the pivot order
-never shows in a result: every reported basis is the canonical one.
+One fraction-free elimination answers two kinds of question.  It works on
+primitive integer rows: each row is cleared of denominators and divided by
+its content, and a row with entry ``f`` under a positive pivot ``pv``
+becomes ``(pv//g)*row - (f//g)*pivot_row`` (``g = gcd(pv, f)``).  Such a
+step only scales a row by a nonzero number and adds a multiple of the pivot
+row, so no Fraction, modulus or certificate is needed to stay exact.  The
+two questions differ in pivot order.  ``rank`` needs only a number, so it
+pivots for sparsity (Markowitz: sparsest row, then that row's sparsest
+column), clears only the rows not yet used and never back-substitutes.
+``rref``, ``kernel_basis`` and ``solve_many`` need a basis, so they take
+pivot columns left to right, the sparsest row holding each, and clear every
+other row; they divide a pivot row by its pivot only when they read it out.
+The reduced row echelon form is unique, so the pivot order never shows in a
+result: every reported basis is the canonical one.
 
 Matrices are immutable after construction.  Ranks, row-reduction results
 and the column index :meth:`RationalMatrix._by_column` are memoized on the
@@ -58,10 +62,11 @@ def _add_into(out: dict, terms: Iterable[tuple], c: Fraction = _ONE) -> None:
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` or ``"-2"``, and Fractions."""
+    """Coerce ints, strings like ``"3/4"`` or ``"-2"``, and Fractions; a bool
+    is not taken as a number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -229,58 +234,96 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def _eliminate(row_dicts: list, ncols: int):
-    """In-place Gauss-Jordan over the first ``ncols`` columns.
+def _integer_rows(m: RationalMatrix, bs: Sequence[Sequence] = ()):
+    """The rows of ``m``, with each right-hand side ``bs[j]`` as column
+    ``m.cols + j``, as primitive integer rows (times the lcm of their
+    denominators, over their content), and the index ``col -> set of rows``."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    for j, b in enumerate(bs):
+        for r, v in enumerate(b):
+            v = rat(v)
+            if v:
+                rows[r][m.cols + j] = v
+    colindex: dict = {}
+    for ri, row in enumerate(rows):
+        den = lcm(*(v.denominator for v in row.values()))
+        for c, v in row.items():
+            row[c] = v.numerator * (den // v.denominator)
+            colindex.setdefault(c, set()).add(ri)
+        _divide_content(row)
+    return rows, colindex
+
+
+def _divide_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, making it primitive."""
+    g = gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def _clear_column(rows: list, colindex: dict, holders: Iterable, prow: dict, pc) -> None:
+    """Clear column ``pc`` from the rows ``holders`` by the row step of the
+    module docstring, after negating ``prow`` if its pivot is negative.  A
+    holder is divided by its content when ``pv//g != 1``.  ``colindex`` is
+    kept current on every column but ``pc``, which the caller takes out."""
+    pv = prow.pop(pc)
+    if pv < 0:  # a positive pivot keeps a == 1 wherever it divides f
+        pv = -pv
+        for k in prow:
+            prow[k] = -prow[k]
+    for ri in holders:
+        row = rows[ri]
+        f = row.pop(pc)
+        g = gcd(pv, f)
+        a, f = pv // g, f // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+        for k, v in prow.items():
+            nv = row.get(k, 0) - f * v
+            if nv:
+                if k not in row:
+                    colindex[k].add(ri)
+                row[k] = nv
+            else:
+                del row[k]
+                colindex[k].discard(ri)
+        if a != 1:
+            _divide_content(row)
+    prow[pc] = pv
+
+
+def _eliminate(rows: list, colindex: dict, ncols: int) -> list:
+    """In-place Gauss-Jordan on integer rows over the first ``ncols`` columns.
 
     Columns are scanned left to right.  The pivot for a column is the
     not-yet-used row with a nonzero entry there that has the fewest nonzeros
-    (ties to the lower row index), which limits fill-in.  Which row is chosen
-    does not affect the result: after completion, pivot rows are fully
-    reduced (1 at the pivot, 0 elsewhere in pivot columns) and every
-    non-pivot row is zero on all eliminated columns, so the pivot rows are
-    the unique RREF rows.  Returns the list of (pivot_column, row_index)
-    pairs in column order.
+    (ties to the lower row index), which limits fill-in; the column is
+    cleared from every other row, pivot rows included.  Afterwards each
+    pivot row, divided by its pivot, is a row of the unique RREF, and every
+    other row is zero on the eliminated columns.  Returns the list of
+    ``(pivot_column, row_index)`` pairs in column order.
     """
-    colindex: dict = {}
-    for ri, row in enumerate(row_dicts):
-        for c in row:
-            if c < ncols:
-                colindex.setdefault(c, set()).add(ri)
     used = set()
     pivots = []
     for c in range(ncols):
-        holders = colindex.get(c)
-        if not holders:
-            continue
+        # pivot rows of later columns are zero here, so no row gains an
+        # entry in a scanned column and its index can go
+        holders = colindex.pop(c, ())
         cand = min((ri for ri in holders if ri not in used),
-                   key=lambda ri: (len(row_dicts[ri]), ri), default=None)
+                   key=lambda ri: (len(rows[ri]), ri), default=None)
         if cand is None:
             continue
         used.add(cand)
         pivots.append((c, cand))
-        prow = row_dicts[cand]
-        pval = prow[c]
-        if pval != 1:
-            inv = 1 / pval
-            for k in prow:
-                prow[k] *= inv
-        for ri in list(holders):
-            if ri == cand:
-                continue
-            row = row_dicts[ri]
-            f = row.get(c)
-            if not f:
-                continue
-            for k, v in prow.items():
-                nv = row.get(k, _ZERO) - f * v
-                if nv:
-                    if k not in row and k < ncols:
-                        colindex.setdefault(k, set()).add(ri)
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-                    if k < ncols:
-                        colindex[k].discard(ri)
+        holders.discard(cand)
+        _clear_column(rows, colindex, holders, rows[cand], c)
+    for ri, row in enumerate(rows):
+        if ri not in used and any(c < ncols for c in row):
+            raise AssertionError("elimination left a nonzero non-pivot row")
     return pivots
 
 
@@ -292,18 +335,14 @@ def rref(m: RationalMatrix):
     """
     if m._rref is not None:
         return m._rref
-    row_dicts = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        row_dicts[r][c] = v
-    pivots = _eliminate(row_dicts, m.cols)
-    pivot_rows = {ri for _, ri in pivots}
-    for ri, row in enumerate(row_dicts):
-        if ri not in pivot_rows and row:
-            raise AssertionError("elimination left a nonzero non-pivot row")
+    rows, colindex = _integer_rows(m)
+    pivots = _eliminate(rows, colindex, m.cols)
     entries = {}
-    for out_r, (_, ri) in enumerate(pivots):
-        for c, v in row_dicts[ri].items():
-            entries[(out_r, c)] = v
+    for out_r, (c, ri) in enumerate(pivots):
+        row = rows[ri]
+        pv = row[c]
+        for k, v in row.items():
+            entries[(out_r, k)] = Fraction(v, pv)
     reduced = RationalMatrix(m.rows, m.cols, entries)
     pivot_cols = [c for c, _ in pivots]
     result = (len(pivots), pivot_cols, reduced)
@@ -317,13 +356,10 @@ def rank(m: RationalMatrix) -> int:
 
     Unlike ``rref``, which must take pivot columns left to right to produce
     the canonical basis, this takes the sparsest remaining row and then that
-    row's sparsest column (ties to the lower index), eliminates the column
-    from the rows not yet used, and drops the pivot row.  Rows are cleared of
-    denominators and made primitive; a row with entry ``f`` under the pivot
-    ``pv`` becomes ``(pv//g)*row - (f//g)*pivot_row`` (``g = gcd(pv, f)``),
-    divided by its content when ``pv//g != 1``.  Such steps keep the rank
-    over Q, and so does any pivot order: ``rank`` is exact and agrees with
-    ``rref``, whose cached result it reuses when present.
+    row's sparsest column (ties to the lower index), clears the column from
+    the rows not yet used and drops the pivot row, never back-substituting.
+    The row step keeps the rank over Q whatever the pivot order: ``rank``
+    agrees with ``rref``, whose cached result it reuses when present.
     """
     if m._rank is None:
         m._rank = m._rref[0] if m._rref is not None else _markowitz_rank(m)
@@ -331,16 +367,7 @@ def rank(m: RationalMatrix) -> int:
 
 
 def _markowitz_rank(m: RationalMatrix) -> int:
-    rows = [dict() for _ in range(m.rows)]
-    colindex: dict = {}
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-        colindex.setdefault(c, set()).add(r)
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        for c, v in row.items():
-            row[c] = v.numerator * (den // v.denominator)
-        _divide_content(row)
+    rows, colindex = _integer_rows(m)
     # heap entries go stale when a row changes length; a fresh entry is
     # pushed then, and a popped entry counts only if its length is current
     heap = [(len(row), ri) for ri, row in enumerate(rows) if row]
@@ -357,39 +384,11 @@ def _markowitz_rank(m: RationalMatrix) -> int:
             colindex[c].discard(pi)
         nrank += 1
         holders = colindex.pop(pc)
-        pv = prow.pop(pc)
-        if pv < 0:  # a positive pivot keeps a == 1 wherever it divides f
-            pv, prow = -pv, {k: -v for k, v in prow.items()}
+        _clear_column(rows, colindex, holders, prow, pc)
         for ri in holders:
-            row = rows[ri]
-            f = row.pop(pc)
-            g = gcd(pv, f)
-            a, f = pv // g, f // g
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in prow.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    if k not in row:
-                        colindex[k].add(ri)
-                    row[k] = nv
-                else:
-                    del row[k]
-                    colindex[k].discard(ri)
-            if row:
-                if a != 1:
-                    _divide_content(row)
-                heapq.heappush(heap, (len(row), ri))
+            if rows[ri]:
+                heapq.heappush(heap, (len(rows[ri]), ri))
     return nrank
-
-
-def _divide_content(row: dict) -> None:
-    """Divide an integer row by the gcd of its entries, making it primitive."""
-    g = gcd(*row.values())
-    if g != 1:
-        for k in row:
-            row[k] //= g
 
 
 def kernel_basis(m: RationalMatrix) -> list:
@@ -430,24 +429,11 @@ def solve_many(m: RationalMatrix, bs: Sequence[Sequence]) -> list:
     for b in bs:
         if len(b) != m.rows:
             raise ValueError("right-hand side length does not match row count")
-    row_dicts = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        row_dicts[r][c] = v
-    for j, b in enumerate(bs):
-        for r, v in enumerate(b):
-            v = rat(v)
-            if v:
-                row_dicts[r][m.cols + j] = v
-    pivots = _eliminate(row_dicts, m.cols)
+    rows, colindex = _integer_rows(m, bs)
+    pivots = _eliminate(rows, colindex, m.cols)
     pivot_rows = {ri for _, ri in pivots}
-    unsolvable = set()
-    for ri, row in enumerate(row_dicts):
-        if ri in pivot_rows:
-            continue
-        for c in row:
-            if c < m.cols:
-                raise AssertionError("elimination left a nonzero non-pivot row")
-            unsolvable.add(c - m.cols)
+    unsolvable = {c - m.cols for ri, row in enumerate(rows) if ri not in pivot_rows
+                  for c in row}
     out = []
     for j in range(len(bs)):
         if j in unsolvable:
@@ -455,6 +441,8 @@ def solve_many(m: RationalMatrix, bs: Sequence[Sequence]) -> list:
             continue
         x = [_ZERO] * m.cols
         for c, ri in pivots:
-            x[c] = row_dicts[ri].get(m.cols + j, _ZERO)
+            v = rows[ri].get(m.cols + j)
+            if v:
+                x[c] = Fraction(v, rows[ri][c])
         out.append(tuple(x))
     return out

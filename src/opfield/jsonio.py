@@ -26,6 +26,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, Tuple
 
 from . import operads
@@ -49,19 +50,59 @@ def matrix_to_triplets(m: RationalMatrix) -> list:
     return [[r, c, rat_str(v)] for (r, c), v in sorted(m.entries.items())]
 
 
+def _index(value) -> int:
+    """An index given as a JSON integer or its string form; floats and
+    ``true``/``false`` (whose type is bool, not int) are refused."""
+    if type(value) is not int and type(value) is not str:
+        raise TypeError(f"index {value!r} is not an integer")
+    return int(value)
+
+
+def _repeated(where: str, rows: list, i: int, key: tuple) -> StructuralError:
+    """The error for row ``i`` giving the entry ``key`` (its indices, the
+    value left out) that an earlier row gives, naming both rows."""
+    given = next(j for j, row in enumerate(rows) if tuple(map(_index, row[:-1])) == key)
+    return StructuralError(f"{where}[{i}]: entry ({', '.join(map(str, key))}) "
+                           f"is already given by {where}[{given}]")
+
+
+_DEGREE = re.compile(r"-?[0-9]+")
+
+
+def _degrees(obj, path: str) -> list:
+    """``(n, path.key, value)`` for each entry of an object keyed by degree."""
+    if not isinstance(obj, dict):
+        raise StructuralError(f"{path}: expected an object keyed by degree")
+    first = {}
+    out = []
+    for key, value in obj.items():
+        if not _DEGREE.fullmatch(key):
+            raise StructuralError(f"{path}.{key}: degree {key!r} is not an integer")
+        n = int(key)
+        given = first.setdefault(n, key)
+        if given != key:
+            raise StructuralError(f"{path}.{key}: degree {n} is already given by {path}.{given}")
+        out.append((n, f"{path}.{key}", value))
+    return out
+
+
 def matrix_from_triplets(rows: int, cols: int, triplets, where: str) -> RationalMatrix:
     """Parse ``[row, col, "p/q"]`` triplets; errors name ``where[i]``."""
+    if not isinstance(triplets, list):
+        raise StructuralError(f"{where}: expected a list of [row, col, value] triplets")
     entries = {}
     for i, triplet in enumerate(triplets):
         try:
             r, c, v = triplet
-            key = (int(r), int(c))
+            key = (_index(r), _index(c))
             value = rat(v)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"{where}[{i}]: {exc}") from None
         if not (0 <= key[0] < rows and 0 <= key[1] < cols):
             raise StructuralError(
                 f"{where}[{i}]: entry index {key} out of range for {rows}x{cols}")
+        if key in entries:
+            raise _repeated(where, triplets, i, key)
         entries[key] = value
     return RationalMatrix(rows, cols, entries)
 
@@ -74,15 +115,17 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(doc: dict, where: str = "") -> ChainComplex:
-    if "dims" not in doc:
-        raise StructuralError("complex document needs a 'dims' field")
-    dims = {int(n): int(d) for n, d in doc["dims"].items()}
+    if not isinstance(doc, dict) or "dims" not in doc:
+        prefix = f"{where[:-1]}: " if where else ""
+        raise StructuralError(f"{prefix}complex document needs a 'dims' field")
+    dims = {}
+    for n, path, d in _degrees(doc["dims"], f"{where}dims"):
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise StructuralError(f"{path}: dimension {d!r} is not a nonnegative integer")
+        dims[n] = d
     diffs = {}
-    for n, triplets in doc.get("d", {}).items():
-        n = int(n)
-        rows = dims.get(n - 1, 0)
-        cols = dims.get(n, 0)
-        diffs[n] = matrix_from_triplets(rows, cols, triplets, f"{where}d.{n}")
+    for n, path, triplets in _degrees(doc.get("d", {}), f"{where}d"):
+        diffs[n] = matrix_from_triplets(dims.get(n - 1, 0), dims.get(n, 0), triplets, path)
     return ChainComplex(dims, diffs)
 
 
@@ -117,7 +160,7 @@ def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
         for r, row in enumerate(doc.get(key, [])):
             try:
                 *idx, out, v = row
-                idx, out, value = tuple(int(i) for i in idx), int(out), rat(v)
+                idx, out, value = tuple(_index(i) for i in idx), _index(out), rat(v)
                 if len(idx) != gen.arity:
                     raise StructuralError(f"{len(idx)} inputs, expected {gen.arity}")
                 for i in idx:
@@ -125,7 +168,10 @@ def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
                 check_index(out, total, "output")
             except (TypeError, ValueError, ZeroDivisionError, StructuralError) as exc:
                 raise StructuralError(f"{where}{key}[{r}]: {exc}") from None
-            tensor.setdefault(idx, {})[out] = value
+            cell = tensor.setdefault(idx, {})
+            if out in cell:
+                raise _repeated(f"{where}{key}", doc[key], r, idx + (out,))
+            cell[out] = value
         structure[gen.name] = tensor.get((), {}) if gen.arity == 0 else tensor
     return DgAlgebra(carrier, kind, structure)
 
@@ -145,9 +191,12 @@ def presymplectic_from_json(doc: dict) -> PresymplecticComplex:
     for r, row in enumerate(doc["omega"]):
         try:
             i, j, v = row
-            omega[(int(i), int(j))] = rat(v)
+            key, value = (_index(i), _index(j)), rat(v)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"omega[{r}]: {exc}") from None
+        if key in omega:
+            raise _repeated("omega", doc["omega"], r, key)
+        omega[key] = value
     return PresymplecticComplex(carrier, omega)
 
 
@@ -214,10 +263,9 @@ def theory_from_json(doc: dict) -> FieldTheory:
         src, tgt = cat.morphisms[m]
         a, b = algebras[src], algebras[tgt]
         components = {}
-        for n, triplets in comps.items():
-            n = int(n)
+        for n, path, triplets in _degrees(comps, f"actions.{m}"):
             components[n] = matrix_from_triplets(b.carrier.dim(n), a.carrier.dim(n), triplets,
-                                                 f"actions.{m}.{n}")
+                                                 path)
         actions[m] = ChainMap(a.carrier, b.carrier, components)
     return FieldTheory(cat, doc["kind"], algebras, actions)
 

@@ -176,26 +176,49 @@ def test_missing_file_exits_two(capsys):
 
 
 def test_malformed_matrix_entries_exit_two_with_location(tmp_path, capsys):
+    def line(triplets):
+        return {"dims": {"0": 1, "1": 1}, "d": {"1": triplets}}
+
     cases = [
-        ([[0, 5, "1"]], "d.1[0]: entry index (0, 5) out of range for 1x1"),
-        ([[0, 0, "1"], [0, 0, 0.5]], "d.1[1]: cannot interpret 0.5 as a rational number"),
+        (line([[0, 5, "1"]]), "d.1[0]: entry index (0, 5) out of range for 1x1"),
+        (line([[0, 0, "1"], [0, 0, 0.5]]), "d.1[1]: cannot interpret 0.5 as a rational number"),
+        ({"dims": {"0": -1, "1": 1}}, "dims.0: dimension -1 is not a nonnegative integer"),
+        ({"dims": {"0": 1, "1": True}}, "dims.1: dimension True is not a nonnegative integer"),
+        ({"dims": {"x": 1}}, "dims.x: degree 'x' is not an integer"),
+        ({"dims": {"0": 1, "00": 1}}, "dims.00: degree 0 is already given by dims.0"),
+        ({"dims": {"0": 1, "1": 1}, "d": {"x": []}}, "d.x: degree 'x' is not an integer"),
+        ({"dims": [1, 1]}, "dims: expected an object keyed by degree"),
+        ({"dims": {"0": 1}, "d": [[0, 0, "1"]]}, "d: expected an object keyed by degree"),
+        ({"dims": {"0": 1}, "d": {"1": 5}}, "d.1: expected a list of [row, col, value] triplets"),
+        (line([[0, 0, True]]), "d.1[0]: cannot interpret True as a rational number"),
+        (line([[0, False, "1"]]), "d.1[0]: index False is not an integer"),
+        (line([[0, 0.0, "1"]]), "d.1[0]: index 0.0 is not an integer"),
+        (line([[0, 0, "1"], [0, 0, "0"]]), "d.1[1]: entry (0, 0) is already given by d.1[0]"),
     ]
-    for triplets, message in cases:
+    for doc, message in cases:
         path = tmp_path / "malformed.json"
-        path.write_text(json.dumps({"dims": {"0": 1, "1": 1}, "d": {"1": triplets}}))
+        path.write_text(json.dumps(doc))
         assert main(["homology", str(path)]) == 2
         assert json.loads(capsys.readouterr().out) == {"error": message}
+        assert main(["validate", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "type": "complex", "valid": False, "issues": [message]}
 
 
 def test_out_of_range_tensor_indices_are_located(tmp_path, capsys):
     # validate reports a structural defect as a failed check; other commands
     # refuse the input with exit code 2; neither prints a traceback
     doc = json.loads((DATA / "abelian_line_algebra.json").read_text())
-    cases = [([[0, 9, 0, "1"]], "bracket[0]: input index 9 >= dim 2"),
-             ([[0, 1, 7, "1"]], "bracket[0]: output index 7 >= dim 2")]
-    for bracket, message in cases:
+    cases = [("bracket", [[0, 9, 0, "1"]], "bracket[0]: input index 9 >= dim 2"),
+             ("bracket", [[0, 1, 7, "1"]], "bracket[0]: output index 7 >= dim 2"),
+             ("bracket", [[0, True, 0, "1"]], "bracket[0]: index True is not an integer"),
+             ("bracket", [[0, 1, 0, "1"], [1, 0, 0, "-1"], [0, 1, 0, "2"]],
+              "bracket[2]: entry (0, 1, 0) is already given by bracket[0]"),
+             ("unit", [[1, "1"], [1, "0"]], "unit[1]: entry (1) is already given by unit[0]"),
+             ("carrier", 5, "carrier: complex document needs a 'dims' field")]
+    for key, rows, message in cases:
         path = tmp_path / "algebra.json"
-        path.write_text(json.dumps({**doc, "bracket": bracket}))
+        path.write_text(json.dumps({**doc, key: rows}))
         assert main(["validate", str(path)]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "type": "algebra", "valid": False, "issues": [message]}
@@ -211,6 +234,11 @@ def test_float_rationals_in_tensors_and_omega_exit_two(tmp_path, capsys):
     assert main(["ccr", str(path), "--n", "2"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "omega[0]: cannot interpret 0.5 as a rational number"}
+    doc["omega"] = [[0, 1, "1"], [1, 0, "-1"], [0, 1, "1"]]
+    path.write_text(json.dumps(doc))
+    assert main(["ccr", str(path), "--n", "2"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "omega[2]: entry (0, 1) is already given by omega[0]"}
     doc = json.loads((DATA / "abelian_line_algebra.json").read_text())
     doc["unit"] = [[1, 0.5]]
     path = tmp_path / "algebra.json"

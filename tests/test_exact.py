@@ -1,3 +1,4 @@
+import ast
 import heapq
 import json
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from opfield import exact
 from opfield.algebras import PresymplecticComplex
 from opfield.cherns import pairing
-from opfield.complexes import ChainComplex, homology_dims
+from opfield.complexes import ChainComplex, homology, homology_dims
 from opfield.envelope import ccr
 from opfield.exact import (RationalMatrix, kernel_basis, rank, rat, rat_str,
                            rref, solve, solve_many)
@@ -31,6 +32,31 @@ def test_rat_parsing_and_formatting():
     assert rat_str(Fraction(6, 4)) == "3/2"
     assert rat_str(Fraction(-8, 2)) == "-4"
     assert rat_str(Fraction(0)) == "0"
+    for value in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            rat(value)
+
+
+# int-valued functions of ``math``; every other one returns floats
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def test_no_floating_point_in_the_package():
+    found = []
+    for path in sorted(DATA.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where}: float")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where}: math.{a.name}" for a in node.names
+                          if a.name not in INTEGER_MATH]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr not in INTEGER_MATH):
+                found.append(f"{where}: math.{node.attr}")
+    assert found == []
 
 
 @given(rationals, rationals)
@@ -401,10 +427,18 @@ def test_common_factors_are_divided_out(monkeypatch):
     # turns row 1 into 2*[3, 1] - 3*[2, 3] = [0, -7], whose content is 7
     assert rank(RationalMatrix.from_rows([[4, 6], [3, 1]])) == 2
     assert divided == [2, 1, 7]
-    divided.clear()
+    rng = Random(2004)
+    cases = []
     for m in integer_rank_cases():
-        assert rank(fresh(m)) == reference_markowitz_rank(m), m
-    assert sum(g > 1 for g in divided) > 10
+        x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m.cols)]
+        cases.append((m, [m.apply(x0), [Fraction(rng.randint(-9, 9)) for _ in range(m.rows)]]))
+    for check in (lambda m, bs: rank(fresh(m)) == reference_markowitz_rank(m),
+                  lambda m, bs: rref(fresh(m)) == reference_rref(m),
+                  lambda m, bs: solve_many(fresh(m), bs) == [reference_solve(m, b) for b in bs]):
+        divided.clear()
+        for m, bs in cases:
+            assert check(m, bs), m
+        assert sum(g > 1 for g in divided) > 10
 
 
 def test_canonical_results_equal_reference_elimination():
@@ -451,3 +485,15 @@ def test_stage_ranks_match_fraction_reference(name, n, seed):
     h = ChainComplex(homology_dims(p.carrier))
     sym = ccr(PresymplecticComplex(h, {}), n).stage_dims(n)
     assert homology_dims(stage) == {k: v for k, v in sym.items() if v}
+
+
+def test_homology_representatives_match_fraction_reference():
+    stage = ccr(pairing(shuffled_surface("annulus2", 31)), 2).stage_complex()
+    for k in range(min(stage.support) - 1, max(stage.support) + 2):
+        cycles = reference_kernel(stage.d(k))
+        dnext = stage.d(k + 1)
+        reps = []
+        if cycles:
+            stacked = dnext.hstack(RationalMatrix.from_columns(cycles, rows=stage.dim(k)))
+            reps = [cycles[p - dnext.cols] for p in reference_rref(stacked)[1] if p >= dnext.cols]
+        assert homology(stage, k) == (len(reps), reps), k
