@@ -27,11 +27,14 @@ from .fieldtheory import check_causality, check_w_constancy, quantize, validate_
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise StructuralError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _emit(doc: dict, out: Optional[str] = None) -> None:
@@ -195,18 +198,16 @@ def cmd_cs(args) -> int:
         if issues:
             _emit({"valid": False, "issues": issues}, args.out)
             return 1
+        reps = {n: homology(p.carrier, n)[1] for n in p.carrier.support}
         h_pairing = {}
-        degrees = sorted(n for n in p.carrier.support if n >= 0)
-        for n in degrees:
-            dim_a, reps_a = homology(p.carrier, n)
-            dim_b, reps_b = homology(p.carrier, -n)
+        for n in (n for n in p.carrier.support if n >= 0):
             off_a = p.basis.offsets.get(n, 0)
             off_b = p.basis.offsets.get(-n, 0)
             matrix = []
-            for va in reps_a:
+            for va in reps[n]:
                 xa = {off_a + i: c for i, c in enumerate(va) if c}
                 row = []
-                for vb in reps_b:
+                for vb in reps.get(-n, ()):
                     xb = {off_b + i: c for i, c in enumerate(vb) if c}
                     row.append(rat_str(p.pair(xa, xb)))
                 matrix.append(row)

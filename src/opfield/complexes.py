@@ -4,9 +4,11 @@ Homological convention throughout: the differential lowers degree by one, so
 ``d(n)`` is a matrix of shape ``dim(n-1) x dim(n)``.  Complexes have finite
 support; degrees outside the support carry the zero space.
 
-Homology representatives, induced maps on homology and quasi-isomorphism
-detection all use the deterministic elimination from :mod:`opfield.exact`,
-so basis choices are reproducible.
+Homology dimensions are rank arithmetic, and so is quasi-isomorphism
+detection: a chain map is a quasi-isomorphism iff its mapping cone is
+acyclic.  Homology representatives and induced maps on homology use the
+canonical elimination from :mod:`opfield.exact`, so basis choices are
+reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .exact import RationalMatrix, Vector, kernel_basis, rank, rref, solve_many
 class ChainComplex:
     """Finitely supported Z-graded complex with exact rational differentials."""
 
-    __slots__ = ("dims", "diffs", "_homology_cache")
+    __slots__ = ("dims", "diffs")
 
     def __init__(self, dims: Dict[int, int], diffs: Optional[Dict[int, RationalMatrix]] = None):
         self.dims = {int(n): int(d) for n, d in dims.items() if int(d) != 0}
@@ -37,7 +39,6 @@ class ChainComplex:
                 )
             if not m.is_zero():
                 self.diffs[n] = m
-        self._homology_cache = {}
 
     @property
     def support(self) -> List[int]:
@@ -98,28 +99,17 @@ def homology(c: ChainComplex, n: int) -> Tuple[int, List[Vector]]:
     whose classes are independent of the image of ``d(n+1)``, selected by the
     canonical elimination pivot order.
     """
-    cached = c._homology_cache.get(n)
-    if cached is not None:
-        return cached
-    dn = c.d(n)
-    cycles = kernel_basis(dn)
-    dnext = c.d(n + 1)
+    cycles = kernel_basis(c.d(n))
     if not cycles:
-        result = (0, [])
-        c._homology_cache[n] = result
-        return result
+        return 0, []
+    dnext = c.d(n + 1)
     stacked = dnext.hstack(RationalMatrix.from_columns(cycles, rows=c.dim(n)))
     _, pivot_cols, _ = rref(stacked)
     reps = [cycles[p - dnext.cols] for p in pivot_cols if p >= dnext.cols]
-    result = (len(reps), reps)
-    c._homology_cache[n] = result
-    return result
+    return len(reps), reps
 
 
 def homology_dim(c: ChainComplex, n: int) -> int:
-    cached = c._homology_cache.get(n)
-    if cached is not None:
-        return cached[0]
     return (c.dim(n) - rank(c.d(n))) - rank(c.d(n + 1))
 
 
@@ -220,19 +210,25 @@ def induced_homology_map(f: ChainMap, n: int) -> RationalMatrix:
     return RationalMatrix(tgt_dim, src_dim, entries)
 
 
-def is_quasi_iso(f: ChainMap) -> bool:
-    """True iff H_n(f) is invertible for every degree in either support."""
-    degrees = sorted(set(f.source.dims) | set(f.target.dims))
+def mapping_cone(f: ChainMap) -> ChainComplex:
+    """cone(f)_n = A_{n-1} (+) B_n, A's block first, with
+    d(a, b) = (-d_A a, f a + d_B b), for ``f: A -> B``."""
+    a, b = f.source, f.target
+    degrees = {n + 1 for n in a.dims} | set(b.dims)
+    diffs = {}
     for n in degrees:
-        hs = homology_dim(f.source, n)
-        ht = homology_dim(f.target, n)
-        if hs != ht:
-            return False
-        if hs == 0:
-            continue
-        if rank(induced_homology_map(f, n)) != hs:
-            return False
-    return True
+        ra, ca = a.dim(n - 2), a.dim(n - 1)
+        entries = {key: -v for key, v in a.d(n - 1).entries.items()}
+        entries.update(((ra + r, c), v) for (r, c), v in f.component(n - 1).entries.items())
+        entries.update(((ra + r, ca + c), v) for (r, c), v in b.d(n).entries.items())
+        diffs[n] = RationalMatrix(ra + b.dim(n - 1), ca + b.dim(n), entries)
+    return ChainComplex({n: a.dim(n - 1) + b.dim(n) for n in degrees}, diffs)
+
+
+def is_quasi_iso(f: ChainMap) -> bool:
+    """True iff the chain map ``f`` induces isomorphisms on homology in every
+    degree, decided by ranks alone: its mapping cone is acyclic."""
+    return not homology_dims(mapping_cone(f))
 
 
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:

@@ -66,6 +66,28 @@ def _repeated(where: str, rows: list, i: int, key: tuple) -> StructuralError:
                            f"is already given by {where}[{given}]")
 
 
+def _listed(doc: dict, key: str, where: str = "") -> list:
+    """``doc[key]``, empty when absent, checked to be a list."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise StructuralError(f"{where}{key}: expected a list")
+    return rows
+
+
+_NOUNS = {str: "names", int: "integers"}
+
+
+def _tuples(doc: dict, key: str, size: int, kind: type = str) -> list:
+    """``doc[key]``, empty when absent, checked to be a list of lists of
+    ``size`` values of type ``kind`` (a bool is not an int)."""
+    rows = _listed(doc, key)
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == size
+                and all(type(x) is kind for x in row)):
+            raise StructuralError(f"{key}[{i}]: expected a list of {size} {_NOUNS[kind]}")
+    return rows
+
+
 _DEGREE = re.compile(r"-?[0-9]+")
 
 
@@ -147,8 +169,9 @@ def algebra_to_json(a: DgAlgebra) -> dict:
 
 def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
     for field in ("kind", "carrier"):
-        if field not in doc:
-            raise StructuralError(f"algebra document needs a {field!r} field")
+        if not isinstance(doc, dict) or field not in doc:
+            prefix = f"{where[:-1]}: " if where else ""
+            raise StructuralError(f"{prefix}algebra document needs a {field!r} field")
     kind = doc["kind"]
     carrier = complex_from_json(doc["carrier"], f"{where}carrier.")
     presentation = operads.named_presentation(kind)
@@ -157,7 +180,7 @@ def algebra_from_json(doc: dict, where: str = "") -> DgAlgebra:
     for gen in presentation.alphabet.generators:
         key = _TENSOR_KEYS[gen.name]
         tensor: Dict[Tuple[int, ...], dict] = {}
-        for r, row in enumerate(doc.get(key, [])):
+        for r, row in enumerate(_listed(doc, key, where)):
             try:
                 *idx, out, v = row
                 idx, out, value = tuple(_index(i) for i in idx), _index(out), rat(v)
@@ -188,7 +211,7 @@ def presymplectic_from_json(doc: dict) -> PresymplecticComplex:
         raise StructuralError("presymplectic document needs 'carrier' and 'omega' fields")
     carrier = complex_from_json(doc["carrier"], "carrier.")
     omega = {}
-    for r, row in enumerate(doc["omega"]):
+    for r, row in enumerate(_listed(doc, "omega")):
         try:
             i, j, v = row
             key, value = (_index(i), _index(j)), rat(v)
@@ -212,11 +235,16 @@ def surface_to_json(s: TriangulatedSurface) -> dict:
 def surface_from_json(doc: dict) -> TriangulatedSurface:
     if "vertices" not in doc or "triangles" not in doc:
         raise StructuralError("surface document needs 'vertices' and 'triangles' fields")
+    if type(doc["vertices"]) is not int:
+        raise StructuralError("vertices: expected an integer")
+    order = doc.get("vertex_order")
+    if order is not None and not (isinstance(order, list) and all(type(v) is int for v in order)):
+        raise StructuralError("vertex_order: expected a list of integers")
     return TriangulatedSurface(
         doc["vertices"],
-        [tuple(t) for t in doc["triangles"]],
-        boundary_edges=[tuple(e) for e in doc.get("boundary_edges", [])],
-        vertex_order=doc.get("vertex_order"),
+        [tuple(t) for t in _tuples(doc, "triangles", 3, int)],
+        boundary_edges=[tuple(e) for e in _tuples(doc, "boundary_edges", 2, int)],
+        vertex_order=order,
     )
 
 
@@ -252,15 +280,31 @@ def theory_from_json(doc: dict) -> FieldTheory:
     for field in ("kind", "objects", "algebras"):
         if field not in doc:
             raise StructuralError(f"theory document needs a {field!r} field")
-    morphisms = {m["name"]: (m["src"], m["tgt"]) for m in doc.get("morphisms", [])}
-    compose = {(g, f): gf for g, f, gf in doc.get("compose", [])}
-    cat = OrthCategory(doc["objects"], morphisms, compose, orth=[
-        (f1, f2) for f1, f2 in doc.get("orth", [])])
+    objects = _listed(doc, "objects")
+    if not all(isinstance(obj, str) for obj in objects):
+        raise StructuralError("objects: expected a list of names")
+    morphisms = {}
+    for i, m in enumerate(_listed(doc, "morphisms")):
+        if not (isinstance(m, dict) and all(isinstance(m.get(k), str) for k in ("name", "src", "tgt"))):
+            raise StructuralError(f"morphisms[{i}]: expected an object with names "
+                                  "'name', 'src' and 'tgt'")
+        morphisms[m["name"]] = (m["src"], m["tgt"])
+    compose = {(g, f): gf for g, f, gf in _tuples(doc, "compose", 3)}
+    cat = OrthCategory(objects, morphisms, compose,
+                       orth=[(f1, f2) for f1, f2 in _tuples(doc, "orth", 2)])
+    for field in ("algebras", "actions"):
+        if not isinstance(doc.get(field, {}), dict):
+            raise StructuralError(f"{field}: expected an object keyed by name")
     algebras = {obj: algebra_from_json(adoc, f"algebras.{obj}.")
                 for obj, adoc in doc["algebras"].items()}
     actions = {}
     for m, comps in doc.get("actions", {}).items():
+        if m not in cat.morphisms:
+            raise StructuralError(f"actions.{m}: no such morphism")
         src, tgt = cat.morphisms[m]
+        for obj in (src, tgt):
+            if obj not in algebras:
+                raise StructuralError(f"actions.{m}: object {obj!r} has no algebra")
         a, b = algebras[src], algebras[tgt]
         components = {}
         for n, path, triplets in _degrees(comps, f"actions.{m}"):

@@ -15,7 +15,8 @@ from opfield.complexes import (ChainComplex, homology, homology_dims,
 from opfield.envelope import ccr, pbw_add, pbw_scale, pbw_unit
 from opfield.errors import StructuralError
 from opfield.exact import RationalMatrix, rank, solve
-from opfield.fieldtheory import check_causality, check_w_constancy, validate_functor
+from opfield.fieldtheory import (check_causality, check_w_constancy, quantize,
+                                 validate_functor)
 
 
 # -- surface validation ------------------------------------------------------------
@@ -224,6 +225,8 @@ def test_collar_theory_homotopy_w_constant():
     assert validate_functor(ft) == []
     assert all(r.ok for r in check_w_constancy(ft, ["collar"], "homotopy"))
     qft = build_acs(diagram, 2)
+    assert all(r.ok for r in check_w_constancy(qft, ["collar"], "homotopy"))
+    qft = quantize(ft, 3, check=False)
     assert all(r.ok for r in check_w_constancy(qft, ["collar"], "homotopy"))
 
 

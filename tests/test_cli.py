@@ -5,8 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from opfield import jsonio
-from opfield.cherns import pairing
+from opfield import complexes, exact, jsonio
+from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.cli import main
 from opfield.envelope import TruncatedEnvelope, ccr
 from support import matrix_algebra, sl2_with_unit
@@ -80,6 +80,36 @@ def test_dimension_reports_compute_no_stage_differentials(capsys, monkeypatch):
     for argv, report in jobs:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == jsonio.dumps(report), argv
+
+
+def test_homotopy_check_w_runs_on_ranks_only(tmp_path, capsys, monkeypatch):
+    # quasi-isomorphisms are decided by mapping-cone ranks: no canonical
+    # elimination, homology representatives or induced maps
+    def refuse(*args):
+        raise RuntimeError("homotopy check-w left the rank path")
+
+    for name in ("rref", "solve_many"):
+        monkeypatch.setattr(exact, name, refuse)
+    for name in ("rref", "kernel_basis", "solve_many", "homology", "induced_homology_map"):
+        monkeypatch.setattr(complexes, name, refuse)
+    f = collar_inclusion()
+    diagram = SurfaceDiagram({"small": f.source, "large": f.target},
+                             {"collar": ("small", "large", f)})
+    collar = tmp_path / "collar.json"
+    collar.write_text(jsonio.dumps(jsonio.theory_to_json(build_bcs(diagram))))
+    jobs = [
+        (["check-w", str(collar), "--mode", "homotopy", "--w", "collar", "--n", "2"], 0,
+         [{"morphism": "collar", "ok": True, "witness": ""}]),
+        (["check-w", str(DATA / "toy3_theory.json"), "--mode", "homotopy",
+          "--w", "id_c,id_c1,f1", "--n", "3"], 1,
+         [{"morphism": "id_c", "ok": True, "witness": ""},
+          {"morphism": "id_c1", "ok": True, "witness": ""},
+          {"morphism": "f1", "ok": False,
+           "witness": "stage 1: homology dims differ in degree 0: 3 != 5"}]),
+    ]
+    for argv, code, reports in jobs:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == jsonio.dumps({"mode": "homotopy", "reports": reports})
 
 
 def test_check_causality_verb(capsys):
@@ -246,6 +276,43 @@ def test_float_rationals_in_tensors_and_omega_exit_two(tmp_path, capsys):
     assert main(["envelope-dims", "--algebra", str(path), "--n", "2"]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "unit[0]: cannot interpret 0.5 as a rational number"}
+
+
+def test_misshapen_fields_are_located(tmp_path, capsys):
+    # validate reports the defect as a failed check; the other command
+    # refuses the input with exit code 2; neither prints a traceback
+    cases = [  # (shipped file, field, value, command, message)
+        ("abelian_line_algebra", "bracket", 5, ["envelope-dims", "--n", "2", "--algebra"],
+         "bracket: expected a list"),
+        ("plane_presymplectic", "omega", 3, ["ccr", "--n", "2"], "omega: expected a list"),
+        ("toy3_theory", "actions", {"nope": {}}, ["check-w", "--w", "f1"],
+         "actions.nope: no such morphism"),
+        ("toy3_theory", "actions", 5, ["quantize", "--n", "2"],
+         "actions: expected an object keyed by name"),
+        ("toy3_theory", "algebras", {"c": 5}, ["quantize", "--n", "2"],
+         "algebras.c: algebra document needs a 'kind' field"),
+        ("toy3_theory", "morphisms", [{"name": "f1"}], ["check-causality"],
+         "morphisms[0]: expected an object with names 'name', 'src' and 'tgt'"),
+        ("toy3_theory", "orth", [["f1"]], ["check-causality"],
+         "orth[0]: expected a list of 2 names"),
+        ("torus9", "triangles", [[0, 1]], ["cs", "homology"],
+         "triangles[0]: expected a list of 3 integers"),
+        ("torus9", "vertex_order", 5, ["cs", "pairing"],
+         "vertex_order: expected a list of integers"),
+    ]
+    for stem, field, value, command, message in cases:
+        doc = json.loads((DATA / f"{stem}.json").read_text())
+        doc[field] = value
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1, message
+        assert json.loads(capsys.readouterr().out)["issues"] == [message]
+        assert main([*command, str(path)]) == 2, message
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": f"{path}: expected a JSON object"}
 
 
 def test_invalid_complex_exits_one(tmp_path, capsys):

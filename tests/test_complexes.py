@@ -5,8 +5,8 @@ import pytest
 
 from opfield.complexes import (ChainComplex, ChainMap, homology, homology_dim,
                                homology_dims, induced_homology_map,
-                               is_quasi_iso, shift, tensor, unit_complex,
-                               validate_complex)
+                               is_quasi_iso, mapping_cone, shift, tensor,
+                               unit_complex, validate_complex)
 from opfield.errors import StructuralError
 from opfield.exact import RationalMatrix, rank
 
@@ -245,3 +245,79 @@ def test_empty_support_complex():
     assert validate_complex(empty) == []
     assert homology_dims(empty) == {}
     assert tensor(empty, circle()).dims == {}
+
+
+def induces_isomorphisms(f):
+    """Reference verdict: every H_n(f) is square and of full rank."""
+    for n in set(f.source.dims) | set(f.target.dims):
+        m = induced_homology_map(f, n)
+        if m.rows != m.cols or rank(m) != m.rows:
+            return False
+    return True
+
+
+def null_homotopic(c, rng):
+    """dh + hd for a random degree-raising h on ``c``."""
+    h = {n: RationalMatrix(c.dim(n + 1), c.dim(n),
+                           {(r, k): rng.randint(-2, 2)
+                            for r in range(c.dim(n + 1)) for k in range(c.dim(n))})
+         for n in c.support}
+    zero = RationalMatrix.zero
+    return ChainMap(c, c, {
+        n: c.d(n + 1) @ h.get(n, zero(c.dim(n + 1), c.dim(n)))
+        + h.get(n - 1, zero(c.dim(n), c.dim(n - 1))) @ c.d(n)
+        for n in c.support})
+
+
+def test_mapping_cone_decides_quasi_isos_like_the_induced_maps():
+    rng = Random(41)
+    not_quasi_isos = 0  # all maps are endomorphisms: equal homology dims
+    for _ in range(40):
+        c = random_complex(rng, max_total=8)
+        ident = ChainMap.identity(c)
+        homotopic = null_homotopic(c, rng)
+        scalar = rng.choice([-3, -1, Fraction(1, 2), 2])
+        maps = {
+            "identity": ident,
+            "scalar": ChainMap(c, c, {n: m.scale(scalar) for n, m in ident.components.items()}),
+            "zero": ChainMap.zero(c, c),
+            "homotopic": homotopic,
+            "id+homotopic": ChainMap(c, c, {n: ident.component(n) + homotopic.component(n)
+                                            for n in c.support}),
+        }
+        for kind, f in maps.items():
+            assert f.commutes() == [], kind
+            cone = mapping_cone(f)
+            assert validate_complex(cone) == [], kind
+            assert cone.euler_characteristic() == (c.euler_characteristic()
+                                                   - c.euler_characteristic())
+            verdict = is_quasi_iso(f)
+            assert verdict == induces_isomorphisms(f), kind
+            assert verdict == (kind in ("identity", "scalar", "id+homotopic")
+                               or not homology_dims(c)), kind
+            not_quasi_isos += not verdict
+    assert not_quasi_isos > 10
+
+
+def test_mapping_cone_between_different_complexes():
+    rng = Random(43)
+    for _ in range(20):
+        a, b = random_complex(rng, max_total=6), random_complex(rng, max_total=6)
+        f = ChainMap.zero(a, b)
+        cone = mapping_cone(f)
+        assert validate_complex(cone) == []
+        assert cone.euler_characteristic() == b.euler_characteristic() - a.euler_characteristic()
+        assert cone.dims == {n: a.dim(n - 1) + b.dim(n)
+                             for n in {m + 1 for m in a.dims} | set(b.dims)
+                             if a.dim(n - 1) + b.dim(n)}
+        assert is_quasi_iso(f) == induces_isomorphisms(f) == (not homology_dims(a)
+                                                              and not homology_dims(b))
+
+
+def test_mapping_cone_of_empty_complex():
+    empty = ChainComplex({})
+    assert mapping_cone(ChainMap.identity(empty)).dims == {}
+    assert is_quasi_iso(ChainMap.identity(empty))
+    assert mapping_cone(ChainMap.zero(empty, circle())).dims == circle().dims
+    assert not is_quasi_iso(ChainMap.zero(empty, circle()))
+    assert is_quasi_iso(ChainMap.zero(empty, acyclic_pair()))

@@ -9,7 +9,7 @@ from opfield.envelope import pbw_unit
 from opfield.errors import StructuralError
 from opfield.exact import RationalMatrix
 from opfield.fieldtheory import (FieldTheory, OrthCategory, OrthFunctor,
-                                 check_causality, check_w_constancy,
+                                 _constancy_defect, check_causality, check_w_constancy,
                                  dequantize, orth_closure, pullback_theory,
                                  quantize, validate_functor)
 
@@ -325,6 +325,15 @@ def test_homotopy_mode_reports_homology_mismatch():
     reports = check_w_constancy(ft, ["f"], "homotopy")
     assert not reports[0].ok
     assert "homology dims differ in degree 0" in reports[0].witness
+
+
+def test_homotopy_mode_reports_a_map_that_is_zero_on_homology():
+    # equal homology dimensions, so only the quasi-isomorphism test can fail
+    circle = ChainComplex({0: 2, 1: 2}, {1: RationalMatrix.from_rows([[-1, 1], [1, -1]])})
+    zero = ChainMap.zero(circle, circle)
+    assert _constancy_defect(zero, "homotopy") == "induced homology map not invertible"
+    assert _constancy_defect(zero, "strict") == "degree 0: action matrix not invertible"
+    assert _constancy_defect(ChainMap.identity(circle), "homotopy") == ""
 
 
 def quarter_turn(a):
