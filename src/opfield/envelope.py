@@ -26,6 +26,15 @@ every monomial's differential, is built only by :meth:`TruncatedEnvelope.stage`
 for callers that read homology or chain maps.  The dimensions also have an
 independent combinatorial oracle, :func:`filtration_dim`, which counts
 graded-symmetric monomials without ever rewriting.
+
+Stage differentials are built without rewriting whole words.  The
+differential of a normal monomial replaces one letter at a time, and the new
+letter slides to its sorted place: each crossing is a Koszul sign plus the
+bracket of the two letters in their stead.  For central brackets, such as
+those of the CCR algebra of a presymplectic complex, that leaves the rest of
+the word, which is already sorted, so no insert is made and no memo entry
+kept; other brackets are normalized by generator insertion.  An odd letter
+meeting itself leaves half its square bracket and ends the term.
 """
 
 from __future__ import annotations
@@ -104,10 +113,7 @@ class TruncatedEnvelope:
     def _bracket(self, p: int, q: int) -> PBWElement:
         cached = self._bracket_cache.get((p, q))
         if cached is None:
-            cell = self.source.apply_generator(
-                operads.BRACKET,
-                [self.source.basis_element(self.gens[p]), self.source.basis_element(self.gens[q])],
-            )
+            cell = self.source.structure[operads.BRACKET].get((self.gens[p], self.gens[q]), {})
             cached = self._bracket_cache[(p, q)] = self.from_source_element(cell)
         return cached
 
@@ -215,20 +221,56 @@ class TruncatedEnvelope:
         return degs.pop()
 
     def differential(self, x: PBWElement) -> PBWElement:
+        """d of a PBW element, whose words are normalized first."""
         out: PBWElement = {}
         for w, c in x.items():
-            _add_into(out, self._d_word(w).items(), c)
+            for v, c2 in self._nf(w).items():
+                _add_into(out, self._d_word(v).items(), c * c2)
         return out
 
     def _d_word(self, word: Word) -> PBWElement:
+        """Differential of a normal monomial: each letter in turn replaced by
+        its differential and slid back to its sorted place."""
         out: PBWElement = {}
         parity = 0
         for j, p in enumerate(word):
             for repl, c in self._dgen(p).items():
-                _add_into(out, self._nf(word[:j] + repl + word[j + 1:]).items(),
-                            -c if parity % 2 else c)
+                c = -c if parity % 2 else c
+                if repl:
+                    self._slide_into(out, word[:j] + word[j + 1:], j, repl[0], c)
+                else:
+                    _add_into(out, ((word[:j] + word[j + 1:], c),))
             parity += self.gen_degree[p]
         return out
+
+    def _slide_into(self, out: PBWElement, rest: Word, i: int, r: int, c: Fraction) -> None:
+        """``out += c * x_rest[:i] x_r x_rest[i:]`` for a normal monomial
+        ``rest``: x_r slides to its sorted place, and crossing x_a adds the
+        bracket [x_a, x_r] (half of it if a = r is odd, which ends the term) in
+        place of the two letters.  A central bracket leaves the sorted word
+        ``rest`` without x_a; any other is normalized."""
+        odd, brackets = self._odd, self._bracket_cache
+        step = -1 if i and (rest[i - 1] > r or rest[i - 1] == r and odd[r]) else 1
+        while 0 <= (k := i - 1 if step < 0 else i) < len(rest):
+            a = rest[k]
+            if (a == r and not odd[r]) or (a != r and (a > r) != (step < 0)):
+                break
+            key = (a, r) if a > r else (r, a)
+            bracket = brackets.get(key)
+            if bracket is None:
+                bracket = self._bracket(*key)
+            for b, s in bracket.items():
+                s = c * s if a != r else c * s * _HALF
+                if b:
+                    _add_into(out, self._nf(rest[:k] + b + rest[k + 1:]).items(), s)
+                else:
+                    _add_into(out, ((rest[:k] + rest[k + 1:], s),))
+            if a == r:
+                return
+            if odd[a] and odd[r]:
+                c = -c
+            i += step
+        _add_into(out, ((rest[:i] + (r,) + rest[i:], c),))
 
     # -- monomial bases and stage complexes --------------------------------------
     def monomials(self, max_length: Optional[int] = None) -> List[Word]:

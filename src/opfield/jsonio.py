@@ -237,6 +237,8 @@ def surface_from_json(doc: dict) -> TriangulatedSurface:
         raise StructuralError("surface document needs 'vertices' and 'triangles' fields")
     if type(doc["vertices"]) is not int:
         raise StructuralError("vertices: expected an integer")
+    if doc["vertices"] < 0:
+        raise StructuralError("vertices: expected a nonnegative integer")
     order = doc.get("vertex_order")
     if order is not None and not (isinstance(order, list) and all(type(v) is int for v in order)):
         raise StructuralError("vertex_order: expected a list of integers")

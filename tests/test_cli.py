@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from opfield import complexes, exact, jsonio
+from opfield import algebras, complexes, exact, jsonio
 from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.cli import main
 from opfield.envelope import TruncatedEnvelope, ccr
@@ -76,6 +76,31 @@ def test_dimension_reports_compute_no_stage_differentials(capsys, monkeypatch):
          {"commutators": {"[e1,e2]": "1"}, "dim": 21, "stage_dims": {"0": 21}, "truncation": 5}),
         (["envelope-dims", "--algebra", str(DATA / "abelian_line_algebra.json"), "--n", "4"],
          {"stages": [{"0": 1}, {"0": 2}, {"0": 3}, {"0": 4}, {"0": 5}], "truncation": 4}),
+    ]
+    for argv, report in jobs:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == jsonio.dumps(report), argv
+
+
+def test_ccr_stage_differentials_slide_without_insertion(capsys, monkeypatch):
+    # CCR brackets are central: stage differentials slide one letter into
+    # place, with no generator insertion, and brackets are read from the
+    # structure constants without evaluating the bracket operation
+    def refuse(*args):
+        raise RuntimeError("CCR stage assembly left the one-letter slide")
+
+    monkeypatch.setattr(TruncatedEnvelope, "_insert", refuse)
+    monkeypatch.setattr(algebras.DgAlgebra, "apply_generator", refuse)
+    jobs = [
+        (["cs", "quantize", str(DATA / "annulus3.json"), "--n", "3"],
+         {"homology": {"-1": 3, "-2": 0, "-3": 0, "0": 4, "1": 0, "2": 0, "3": 0},
+          "stage_dims": {"-1": 1830, "-2": 1056, "-3": 220, "0": 1392, "1": 444, "2": 48,
+                         "3": 1},
+          "truncation": 3}),
+        (["cs", "quantize", str(DATA / "torus9.json"), "--n", "2"],
+         {"homology": {"-1": 3, "-2": 0, "0": 7, "1": 3, "2": 0},
+          "stage_dims": {"-1": 504, "-2": 153, "0": 568, "1": 252, "2": 36},
+          "truncation": 2}),
     ]
     for argv, report in jobs:
         assert main(argv) == 0, argv
@@ -299,6 +324,8 @@ def test_misshapen_fields_are_located(tmp_path, capsys):
          "triangles[0]: expected a list of 3 integers"),
         ("torus9", "vertex_order", 5, ["cs", "pairing"],
          "vertex_order: expected a list of integers"),
+        ("disk1", "vertices", -1, ["cs", "homology"],
+         "vertices: expected a nonnegative integer"),
     ]
     for stem, field, value, command, message in cases:
         doc = json.loads((DATA / f"{stem}.json").read_text())

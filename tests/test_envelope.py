@@ -542,13 +542,18 @@ def odd_squares_algebra():
     return DgAlgebra(carrier, "uLie", {operads.BRACKET: bracket, operads.ETA: {0: Fraction(1)}})
 
 
+def _random_heisenbergs():
+    """Heisenberg algebras with odd generators in degrees -1 and 1."""
+    rng = Random(61)
+    return [heisenberg(random_presymplectic(rng, {-1: 2, 0: 2, 1: 2})) for _ in range(3)]
+
+
 def _insertion_families():
     from opfield.algebras import validate_algebra
 
     from support import sl2_with_unit
 
-    rng = Random(61)
-    algebras = [heisenberg(random_presymplectic(rng, {-1: 2, 0: 2, 1: 2})) for _ in range(3)]
+    algebras = _random_heisenbergs()
     algebras += [sl2_with_unit(), odd_squares_algebra(), odd_square_algebra()]
     for v in algebras:
         assert validate_algebra(v) == []
@@ -594,20 +599,172 @@ def test_sl2_normal_forms_are_not_central():
     assert env.normal_form((2, 0)) == {(0, 2): Fraction(1), (0,): Fraction(2)}
 
 
-@pytest.mark.parametrize("name", ["annulus2", "tetra_sphere"])
-def test_ccr_stage_matrices_match_recursive_rewriter(name):
+# -- central brackets: the one-letter slide against the rewriters -------------------------
+
+SURFACES = ("disk1", "annulus2", "annulus3", "tetra_sphere", "torus9")
+
+
+def _ccr_case(name, n, seed=None):
+    """CCR envelope at truncation n: the seed-th algebra of
+    :func:`_random_heisenbergs` for ``name == "heisenberg"``, otherwise a
+    shipped surface, at a vertex order drawn from ``seed`` when one is given."""
     import json
     from pathlib import Path
 
     from opfield.cherns import pairing
     from opfield.jsonio import surface_from_json
 
+    if name == "heisenberg":
+        return envelope(_random_heisenbergs()[seed], n)
     path = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data" / f"{name}.json"
-    env = ccr(pairing(surface_from_json(json.loads(path.read_text()))), 3)
-    stage = env.stage_complex()
-    expected = reference_stage_entries(env, 3)
-    assert {deg: m.entries for deg, m in stage.diffs.items()} == expected
-    assert sum(len(e) for e in expected.values()) > 0
+    doc = json.loads(path.read_text())
+    if seed is not None:
+        doc["vertex_order"] = Random(seed).sample(range(doc["vertices"]), doc["vertices"])
+    return ccr(pairing(surface_from_json(doc)), n)
+
+
+def _stage_entries(env):
+    return {deg: m.entries for deg, m in env.stage_complex().diffs.items()}
+
+
+@pytest.mark.parametrize("name, n, seed", (
+    [pytest.param(name, 3, None, id=name) for name in ("annulus2", "tetra_sphere")]
+    + [pytest.param("annulus3", 3, None, id="annulus3-n3")]
+    + [pytest.param(name, n, None, id=f"{name}-n{n}") for name in SURFACES for n in (1, 2)]
+    + [pytest.param("torus9", 2, seed, id=f"torus9-n2-order{seed}") for seed in (1, 2, 3)]
+    + [pytest.param("heisenberg", 5, i, id=f"heisenberg{i}") for i in range(3)]))
+def test_ccr_stage_matrices_match_recursive_rewriter(name, n, seed):
+    env = _ccr_case(name, n, seed)
+    expected = reference_stage_entries(env, n)
+    assert _stage_entries(env) == expected
+    # central brackets slide each letter without generator insertion
+    assert not env._insert_cache
+    # the disk's stage sits in one degree and has no differential
+    assert sum(len(e) for e in expected.values()) > 0 or name == "disk1"
+
+
+def insertion_d_word(env, word):
+    """d of a monomial by generator insertion: each letter replaced by its
+    differential and the whole word normalized."""
+    out, parity = {}, 0
+    for j, p in enumerate(word):
+        for repl, c in env.dgen_expansion(p).items():
+            out = pbw_add(out, pbw_scale(-c if parity % 2 else c,
+                                         env.normal_form(word[:j] + repl + word[j + 1:])))
+        parity += env.gen_degree[p]
+    return out
+
+
+def test_torus9_stage_slide_matches_generic_insertion():
+    # the reference rewriter is too slow at torus9 n=3; generator insertion
+    # on the same envelope is the cross-check there
+    env = _ccr_case("torus9", 3)
+    _, words_by_degree, _ = env.stage()
+    words = [w for ws in words_by_degree.values() for w in ws]
+    assert len(words) > 4000
+    for w in words:
+        assert env._d_word(w) == insertion_d_word(env, w), w
+
+
+def test_slide_halves_an_odd_square():
+    # [x, x] = 2 for an odd x does not preserve degree, so no dg Lie algebra
+    # has it, but the envelope takes it: x x = 1, and d(x t) = -x d(t) = -1
+    # for d t = x; the slide must agree with insertion on every monomial
+    carrier = ChainComplex({0: 1, 1: 1, 2: 1}, {2: RationalMatrix(1, 1, {(0, 0): 1})})
+    v = DgAlgebra(carrier, "uLie", {operads.BRACKET: {(1, 1): {0: Fraction(2)}},
+                                    operads.ETA: {0: Fraction(1)}})
+    env = envelope(v, 4)
+    assert env.bracket_expansion(0, 0) == {(): Fraction(2)}
+    assert env.differential({(0, 1): Fraction(1)}) == {(): Fraction(-1)}
+    for w in env.monomials():
+        assert env._d_word(w) == insertion_d_word(env, w), w
+
+
+def test_differential_normalizes_its_input():
+    # a hand-built element need not be in normal form: d(x_1 x_0) is read as
+    # d of the normal form of x_1 x_0
+    env = _ccr_case("heisenberg", 3, 0)
+    for word in [(1, 0), (2, 1, 0), (3, 3, 0), (5, 4, 1)]:
+        expected = {}
+        for w, c in env.normal_form(word).items():
+            expected = pbw_add(expected, pbw_scale(c, insertion_d_word(env, w)))
+        assert env.differential({word: Fraction(1)}) == expected, word
+
+
+def test_central_brackets_divide_out_the_unit_coefficient():
+    import json
+    from pathlib import Path
+
+    from opfield.jsonio import theory_from_json
+
+    # toy3's algebras are Heisenberg algebras: [x_0, x_1] = [x_2, x_3] = 1
+    toy3 = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data" / "toy3_theory.json"
+    ft = theory_from_json(json.loads(toy3.read_text()))
+    one = Fraction(1)
+    env = envelope(ft.algebra("c"), 3)
+    assert env.bracket_expansion(0, 1) == env.bracket_expansion(2, 3) == {(): one}
+    assert env.bracket_expansion(3, 2) == {(): -one}
+    assert env.bracket_expansion(0, 2) == {}
+    # the unit's coefficient divides out
+    plane = PresymplecticComplex(ChainComplex({0: 2}), {(0, 1): 3, (1, 0): -3})
+    v = heisenberg(plane)
+    v = DgAlgebra(v.carrier, "uLie", {operads.BRACKET: v.structure[operads.BRACKET],
+                                      operads.ETA: {2: Fraction(1, 2)}})
+    env = envelope(v, 2)
+    assert env.bracket_expansion(0, 1) == {(): Fraction(6)}
+    assert env.bracket_expansion(1, 0) == {(): Fraction(-6)}
+    assert env.bracket_expansion(0, 0) == {}
+    assert env.normal_form((1, 0)) == {(0, 1): one, (): Fraction(-6)}
+
+
+def bracket_off_the_unit():
+    """x, y, z (degree 0) and u, w (degree 1) with d u = x, d w = z and
+    [x, y] = z, [u, y] = w: a dg Lie algebra whose brackets miss the unit."""
+    carrier = ChainComplex({0: 4, 1: 2}, {1: RationalMatrix(4, 2, {(0, 0): 1, (2, 1): 1})})
+    bracket = {(0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)},
+               (4, 1): {5: Fraction(1)}, (1, 4): {5: Fraction(-1)}}
+    return DgAlgebra(carrier, "uLie", {operads.BRACKET: bracket, operads.ETA: {3: Fraction(1)}})
+
+
+def bracket_on_the_unit():
+    """A Heisenberg algebra with one bracket entry keyed by the unit: its unit
+    is not central, so it is not a unital Lie algebra, although every
+    generator bracket is a multiple of the unit."""
+    v = _random_heisenbergs()[0]
+    unit, _ = v.unit_direction()
+    bracket = {**v.structure[operads.BRACKET], (unit, 0): {unit: Fraction(1)}}
+    return DgAlgebra(v.carrier, "uLie", {operads.BRACKET: bracket,
+                                         operads.ETA: v.structure[operads.ETA]})
+
+
+def test_non_central_stage_matrices_match_recursive_rewriter():
+    # brackets landing on generators are normalized after the slide
+    from opfield.algebras import validate_algebra
+
+    from support import sl2_with_unit
+
+    assert validate_algebra(bracket_off_the_unit()) == []
+    algebras = [sl2_with_unit(), odd_squares_algebra(), odd_square_algebra(),
+                bracket_off_the_unit(), bracket_on_the_unit()]
+    for v in algebras:
+        env = envelope(v, 4)
+        assert _stage_entries(env) == reference_stage_entries(env, 4), v
+    assert _stage_entries(envelope(bracket_off_the_unit(), 4))
+
+
+def test_reversed_torus9_word_is_wick_ordered():
+    import math
+
+    # an even pair p < q of torus9's CCR algebra with s = [x_q, x_p] != 0:
+    # x_q^25 x_p^25 = sum_k k! C(25, k)^2 s^k x_p^(25-k) x_q^(25-k)
+    env = _ccr_case("torus9", 50)
+    even = [p for p in range(len(env.gens)) if not env._odd[p]]
+    (q, p), s = next(((q, p), env.bracket_expansion(q, p)[()]) for q in even for p in even
+                     if p < q and env.bracket_expansion(q, p))
+    assert env.bracket_expansion(q, p) == {(): s}
+    expected = {(p,) * (25 - k) + (q,) * (25 - k): math.factorial(k) * math.comb(25, k) ** 2 * s ** k
+                for k in range(26)}
+    assert env.normal_form((q,) * 25 + (p,) * 25) == expected
 
 
 def test_long_reversed_word_does_not_recurse():
