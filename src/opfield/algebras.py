@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, validate_complex
 from .errors import StructuralError
 from .exact import _ONE, RationalMatrix, _add_into, rat
 from . import operads
@@ -221,13 +221,19 @@ def _signed(tensor: Tensor, degrees: Sequence[int], m: int) -> Tensor:
             for key, cell in tensor.items()}
 
 
-def validate_algebra(a: DgAlgebra) -> List[str]:
-    """Chain-map checks for all structure maps plus relation checks."""
-    from .complexes import validate_complex
-
+def validate_differential(a: DgAlgebra) -> List[str]:
+    """d.d = 0 on the carrier and graded Leibniz for every structure map:
+    together they make the carrier and every filtration stage of the
+    envelope chain complexes."""
     issues = [f"carrier: {msg}" for msg in validate_complex(a.carrier)]
     for gen in a.presentation.alphabet.generators:
         issues.extend(_derivation_defect(a, gen.name))
+    return issues
+
+
+def validate_algebra(a: DgAlgebra) -> List[str]:
+    """Chain-map checks for all structure maps plus relation checks."""
+    issues = validate_differential(a)
     issues.extend(str(violation) for violation in check_relations(a.presentation, a))
     return issues
 

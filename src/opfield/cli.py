@@ -16,6 +16,7 @@ import sys
 from typing import Optional
 
 from . import jsonio
+from .algebras import validate_algebra, validate_differential
 from .cherns import cs_complex, pairing
 from .complexes import homology, homology_dim, homology_dims, validate_complex
 from .envelope import ccr, envelope
@@ -79,24 +80,17 @@ def cmd_validate(args) -> int:
     doc = _load(args.file)
     kind = jsonio.sniff_type(doc)
     issues = []
-    try:
-        if kind == "complex":
-            issues = validate_complex(jsonio.complex_from_json(doc))
-        elif kind == "algebra":
-            from .algebras import validate_algebra
-
-            issues = validate_algebra(jsonio.algebra_from_json(doc))
-        elif kind == "presymplectic":
-            p = jsonio.presymplectic_from_json(doc)
-            issues = [f"carrier: {m}" for m in validate_complex(p.carrier)] + p.validate()
-        elif kind == "surface":
-            jsonio.surface_from_json(doc)  # constructor validates
-        elif kind == "theory":
-            issues = validate_functor(jsonio.theory_from_json(doc))
-    except StructuralError as exc:
-        # the document parses but describes an invalid object: that is a
-        # check failure with a witness, not a parse error
-        issues = [str(exc)]
+    if kind == "complex":
+        issues = validate_complex(jsonio.complex_from_json(doc))
+    elif kind == "algebra":
+        issues = validate_algebra(jsonio.algebra_from_json(doc))
+    elif kind == "presymplectic":
+        p = jsonio.presymplectic_from_json(doc)
+        issues = [f"carrier: {m}" for m in validate_complex(p.carrier)] + p.validate()
+    elif kind == "surface":
+        jsonio.surface_from_json(doc)  # constructor validates
+    elif kind == "theory":
+        issues = validate_functor(jsonio.theory_from_json(doc))
     if issues:
         _emit({"type": kind, "valid": False, "issues": [str(i) for i in issues]}, args.out)
         return 1
@@ -175,6 +169,15 @@ def cmd_quantize(args) -> int:
 
 def cmd_check_w(args) -> int:
     ft = jsonio.theory_from_json(_load(args.file))
+    # homology ranks are cleared, which needs d.d = 0 on every complex ranked:
+    # the carriers and envelope stages of the algebras, and the cones of the
+    # actions, which must be chain maps
+    issues = validate_functor(ft) + [
+        f"algebra {obj}: {msg}" for obj in ft.base.objects
+        for msg in validate_differential(ft.linear_algebra(obj))]
+    if issues:
+        _emit({"valid": False, "issues": issues}, args.out)
+        return 1
     w = [m for m in args.w.split(",") if m]
     if args.n is not None:
         ft = quantize(ft, args.n, check=False)

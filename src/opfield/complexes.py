@@ -6,9 +6,14 @@ support; degrees outside the support carry the zero space.
 
 Homology dimensions are rank arithmetic, and so is quasi-isomorphism
 detection: a chain map is a quasi-isomorphism iff its mapping cone is
-acyclic.  Homology representatives and induced maps on homology use the
-canonical elimination from :mod:`opfield.exact`, so basis choices are
-reproducible.
+acyclic.  The ranks are cleared (see :mod:`opfield.exact`): ``d(n)`` is
+ranked without the rows at the pivot columns of ``d(n-1)``, which on nearly
+acyclic complexes such as CCR stages are most of the rows that would reduce
+to zero.  So :func:`homology_dim`, :func:`homology_dims` and
+:func:`is_quasi_iso` require ``d.d = 0`` (and a chain map, for the cone) and
+do not check it: :func:`validate_complex` does.  Homology representatives
+and induced maps on homology use the canonical elimination from
+:mod:`opfield.exact`, so basis choices are reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import StructuralError
-from .exact import RationalMatrix, Vector, kernel_basis, rank, rref, solve_many
+from .exact import RationalMatrix, Vector, kernel_basis, rank_pivots, rref, solve_many
 
 
 class ChainComplex:
@@ -110,13 +115,26 @@ def homology(c: ChainComplex, n: int) -> Tuple[int, List[Vector]]:
 
 
 def homology_dim(c: ChainComplex, n: int) -> int:
-    return (c.dim(n) - rank(c.d(n))) - rank(c.d(n + 1))
+    """dim H_n, from the rank of ``d(n)`` and the rank of ``d(n+1)`` cleared
+    by the pivot columns of ``d(n)``.  Requires ``d(n) d(n+1) = 0``: on a
+    non-complex the cleared rank, and the rank memoized on ``d(n+1)``, can
+    be wrong."""
+    r, pivots = rank_pivots(c.d(n))
+    return c.dim(n) - r - rank_pivots(c.d(n + 1), pivots)[0]
 
 
 def homology_dims(c: ChainComplex) -> Dict[int, int]:
+    """dim H_n of every degree with nonzero homology.
+
+    The differentials are ranked upward, each ``d(n)`` with the rows at the
+    pivot columns of ``d(n-1)`` left out (clearing).  Requires ``d.d = 0``,
+    as :func:`homology_dim` does."""
+    ranks, pivots = {}, ()
+    for n in sorted(c.diffs):
+        ranks[n], pivots = rank_pivots(c.diffs[n], pivots if n - 1 in ranks else ())
     out = {}
     for n in c.support:
-        h = homology_dim(c, n)
+        h = c.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[n] = h
     return out
@@ -227,7 +245,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 
 def is_quasi_iso(f: ChainMap) -> bool:
     """True iff the chain map ``f`` induces isomorphisms on homology in every
-    degree, decided by ranks alone: its mapping cone is acyclic."""
+    degree, decided by ranks alone: its mapping cone is acyclic.  Requires
+    that source and target are complexes and ``f`` is a chain map, so that
+    the cone is a complex."""
     return not homology_dims(mapping_cone(f))
 
 

@@ -19,11 +19,23 @@ other row; they divide a pivot row by its pivot only when they read it out.
 The reduced row echelon form is unique, so the pivot order never shows in a
 result: every reported basis is the canonical one.
 
-Matrices are immutable after construction.  Ranks, row-reduction results
-and the column index :meth:`RationalMatrix._by_column` are memoized on the
-matrix object, so repeated homology queries against the same differential do
-not re-eliminate and every map that reads a matrix column by column shares
-one index.
+``rank_pivots`` also returns the pivot columns of the rank's elimination,
+rank-many independent columns, and can leave rows out of it.  That is
+clearing, as in persistent homology (Chen & Kerber, *Persistent homology
+computation with a twist*, 2011; Bauer, *Ripser*, 2021): if
+``d(n-1) d(n) = 0`` and Q is a set of independent columns of ``d(n-1)``,
+then ``ker d(n-1)``, which holds ``im d(n)``, meets the span of the
+coordinate vectors at Q only in 0, so the rows Q of ``d(n)`` can go without
+lowering its rank.  The rows that go are mostly rows the elimination would
+have reduced to zero.  Only the caller knows that ``d.d = 0`` holds; on other
+matrices a cleared rank can be too low.
+
+Matrices are immutable after construction.  Ranks with their pivot columns,
+row-reduction results and the column index :meth:`RationalMatrix._by_column`
+are memoized on the matrix object, so repeated homology queries against the
+same differential do not re-eliminate and every map that reads a matrix
+column by column shares one index.  A cleared rank is memoized as the rank of
+the whole matrix, which it is when ``d.d = 0``.
 
 Sparse vectors everywhere in the package (algebra elements, PBW elements,
 structure-tensor cells, matrix entries) are dicts that never hold a zero.
@@ -234,13 +246,16 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def _integer_rows(m: RationalMatrix, bs: Sequence[Sequence] = ()):
+def _integer_rows(m: RationalMatrix, bs: Sequence[Sequence] = (), skip_rows: Iterable[int] = ()):
     """The rows of ``m``, with each right-hand side ``bs[j]`` as column
     ``m.cols + j``, as primitive integer rows (times the lcm of their
-    denominators, over their content), and the index ``col -> set of rows``."""
+    denominators, over their content), and the index ``col -> set of rows``.
+    The rows ``skip_rows`` are loaded empty."""
     rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
+    for r in skip_rows:
+        rows[r] = {}
     for j, b in enumerate(bs):
         for r, v in enumerate(b):
             v = rat(v)
@@ -361,18 +376,33 @@ def rank(m: RationalMatrix) -> int:
     The row step keeps the rank over Q whatever the pivot order: ``rank``
     agrees with ``rref``, whose cached result it reuses when present.
     """
+    return rank_pivots(m)[0]
+
+
+def rank_pivots(m: RationalMatrix, skip_rows: Iterable[int] = ()) -> tuple:
+    """``(rank, pivot_columns)`` of ``m``: its rank and as many linearly
+    independent columns, those of the elimination that found the rank.
+
+    The elimination leaves the rows ``skip_rows`` out, which the caller
+    must know not to lower the rank (clearing: the pivot columns of ``d(n-1)``
+    are such rows of ``d(n)`` when ``d(n-1) d(n) = 0``).  Columns independent
+    on the remaining rows are independent in ``m``, so the pivot columns hold
+    whatever was skipped.  Both are memoized with the rank, so a later call
+    returns them whatever its ``skip_rows``.
+    """
     if m._rank is None:
-        m._rank = m._rref[0] if m._rref is not None else _markowitz_rank(m)
+        m._rank = m._rref[:2] if m._rref is not None else _markowitz_rank(m, skip_rows)
     return m._rank
 
 
-def _markowitz_rank(m: RationalMatrix) -> int:
-    rows, colindex = _integer_rows(m)
+def _markowitz_rank(m: RationalMatrix, skip_rows: Iterable[int] = ()) -> tuple:
+    """``(rank, pivot_columns)`` of ``m`` without the rows ``skip_rows``."""
+    rows, colindex = _integer_rows(m, skip_rows=skip_rows)
     # heap entries go stale when a row changes length; a fresh entry is
     # pushed then, and a popped entry counts only if its length is current
     heap = [(len(row), ri) for ri, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    nrank = 0
+    pivots = []
     while heap:
         length, pi = heapq.heappop(heap)
         prow = rows[pi]
@@ -382,13 +412,13 @@ def _markowitz_rank(m: RationalMatrix) -> int:
         pc = min(prow, key=lambda c: (len(colindex[c]), c))
         for c in prow:
             colindex[c].discard(pi)
-        nrank += 1
+        pivots.append(pc)
         holders = colindex.pop(pc)
         _clear_column(rows, colindex, holders, prow, pc)
         for ri in holders:
             if rows[ri]:
                 heapq.heappush(heap, (len(rows[ri]), ri))
-    return nrank
+    return len(pivots), pivots
 
 
 def kernel_basis(m: RationalMatrix) -> list:

@@ -8,7 +8,7 @@ from pathlib import Path
 from opfield import algebras, complexes, exact, jsonio
 from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.cli import main
-from opfield.envelope import TruncatedEnvelope, ccr
+from opfield.envelope import TruncatedEnvelope, ccr, filtration_dim
 from support import matrix_algebra, sl2_with_unit
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
@@ -105,6 +105,18 @@ def test_ccr_stage_differentials_slide_without_insertion(capsys, monkeypatch):
     for argv, report in jobs:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == jsonio.dumps(report), argv
+
+
+def test_torus_quantized_at_three_has_the_homology_of_sym_three(capsys):
+    # H(Sym^{<=3} V) = Sym^{<=3} H(V) with H(V) = {-1: 1, 0: 2, 1: 1}: in
+    # degree 0 the words 1, a, b, a^2, ab, b^2, xy, a^3, ..., b^3, axy, bxy
+    surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
+    stage_dims = filtration_dim(algebras.heisenberg(pairing(surface)), 3)
+    assert main(["cs", "quantize", str(DATA / "torus9.json"), "--n", "3"]) == 0
+    assert capsys.readouterr().out == jsonio.dumps({
+        "homology": {"-1": 6, "-2": 0, "-3": 0, "0": 13, "1": 6, "2": 0, "3": 0},
+        "stage_dims": {str(k): v for k, v in stage_dims.items()},
+        "truncation": 3})
 
 
 def test_homotopy_check_w_runs_on_ranks_only(tmp_path, capsys, monkeypatch):
@@ -208,13 +220,54 @@ def test_check_w_stagewise_witness_names_the_first_failing_stage(capsys):
                                   for m in ("f1", "f2")]
 
 
-def test_invalid_surface_reports_and_exits_one(tmp_path, capsys):
+def test_check_w_refuses_theories_whose_complexes_are_not_complexes(tmp_path, capsys):
+    # homology ranks are cleared, which is only right when d.d = 0; each
+    # check-w input below passes validate
+    def algebra(dims, d, bracket=()):
+        return {"kind": "uLie", "carrier": {"dims": dims, "d": d},
+                "bracket": list(bracket), "unit": [[0, "1"]]}
+
+    def theory(a, b, action):
+        return {"kind": "uLie", "objects": ["a", "b"],
+                "morphisms": [{"name": "f", "src": "a", "tgt": "b"}], "compose": [],
+                "orth": [], "algebras": {"a": a, "b": b}, "actions": {"f": action}}
+
+    line = [[0, 0, "1"]]
+    chain = algebra({"0": 1, "1": 1, "2": 1}, {"1": line, "2": line})  # d_1 d_2 != 0
+    # x = e1 in degree 0 and y = e2 in degree 1, dy = x and [x, y] = y:
+    # d[x, y] = dy = x, but [dx, y] + [x, dy] = [x, x] = 0
+    leibniz = algebra({"0": 2, "1": 1}, {"1": [[1, 0, "1"]]}, [[1, 2, 2, "1"], [2, 1, 2, "-1"]])
+    flat = algebra({"0": 1, "1": 1}, {})
+    cases = [
+        (theory(chain, chain, {"0": line, "1": line, "2": line}),
+         ["algebra a: carrier: d_1 . d_2 != 0", "algebra b: carrier: d_1 . d_2 != 0"]),
+        (theory(leibniz, leibniz, {"0": [[0, 0, "1"], [1, 1, "1"]], "1": line}),
+         [f"algebra {obj}: bracket: differential is not a derivation at basis tuple {key}"
+          for obj in "ab" for key in ((1, 2), (2, 1), (2, 2))]),
+    ]
+    for doc, issues in cases:
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"type": "theory", "valid": True}
+        for mode in ("homotopy", "strict"):
+            for n in ([], ["--n", "2"]):
+                assert main(["check-w", str(path), "--mode", mode, "--w", "f", *n]) == 1
+                assert json.loads(capsys.readouterr().out) == {"valid": False, "issues": issues}
+    # an action that is not a chain map is refused too, as by validate
+    path.write_text(json.dumps(theory(algebra({"0": 1, "1": 1}, {"1": line}), flat,
+                                      {"0": line, "1": line})))
+    assert main(["check-w", str(path), "--mode", "homotopy", "--w", "f"]) == 1
+    assert json.loads(capsys.readouterr().out)["issues"][0].startswith("action f: chain map")
+
+
+def test_invalid_surface_exits_two_with_error(tmp_path, capsys):
     doc = {"vertices": 3, "triangles": [[0, 1, 2]], "boundary_edges": [[0, 1]]}
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(doc))
-    assert main(["validate", str(path)]) == 1
+    assert main(["validate", str(path)]) == 2
     out = json.loads(capsys.readouterr().out)
-    assert out["valid"] is False and out["issues"]
+    assert list(out) == ["error"] and out["error"]
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -253,16 +306,14 @@ def test_malformed_matrix_entries_exit_two_with_location(tmp_path, capsys):
     for doc, message in cases:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
-        assert main(["homology", str(path)]) == 2
-        assert json.loads(capsys.readouterr().out) == {"error": message}
-        assert main(["validate", str(path)]) == 1
-        assert json.loads(capsys.readouterr().out) == {
-            "type": "complex", "valid": False, "issues": [message]}
+        for command in ("homology", "validate"):
+            assert main([command, str(path)]) == 2
+            assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
 def test_out_of_range_tensor_indices_are_located(tmp_path, capsys):
-    # validate reports a structural defect as a failed check; other commands
-    # refuse the input with exit code 2; neither prints a traceback
+    # validate and the other commands refuse the input with exit code 2 and
+    # the same message; neither prints a traceback
     doc = json.loads((DATA / "abelian_line_algebra.json").read_text())
     cases = [("bracket", [[0, 9, 0, "1"]], "bracket[0]: input index 9 >= dim 2"),
              ("bracket", [[0, 1, 7, "1"]], "bracket[0]: output index 7 >= dim 2"),
@@ -274,9 +325,8 @@ def test_out_of_range_tensor_indices_are_located(tmp_path, capsys):
     for key, rows, message in cases:
         path = tmp_path / "algebra.json"
         path.write_text(json.dumps({**doc, key: rows}))
-        assert main(["validate", str(path)]) == 1
-        assert json.loads(capsys.readouterr().out) == {
-            "type": "algebra", "valid": False, "issues": [message]}
+        assert main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
         assert main(["envelope-dims", "--algebra", str(path), "--n", "2"]) == 2
         assert json.loads(capsys.readouterr().out) == {"error": message}
 
@@ -304,8 +354,8 @@ def test_float_rationals_in_tensors_and_omega_exit_two(tmp_path, capsys):
 
 
 def test_misshapen_fields_are_located(tmp_path, capsys):
-    # validate reports the defect as a failed check; the other command
-    # refuses the input with exit code 2; neither prints a traceback
+    # validate and the other command refuse the input with exit code 2 and
+    # the same message; neither prints a traceback
     cases = [  # (shipped file, field, value, command, message)
         ("abelian_line_algebra", "bracket", 5, ["envelope-dims", "--n", "2", "--algebra"],
          "bracket: expected a list"),
@@ -332,8 +382,8 @@ def test_misshapen_fields_are_located(tmp_path, capsys):
         doc[field] = value
         path = tmp_path / f"{stem}.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 1, message
-        assert json.loads(capsys.readouterr().out)["issues"] == [message]
+        assert main(["validate", str(path)]) == 2, message
+        assert json.loads(capsys.readouterr().out) == {"error": message}
         assert main([*command, str(path)]) == 2, message
         assert json.loads(capsys.readouterr().out) == {"error": message}
     path = tmp_path / "list.json"

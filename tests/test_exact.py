@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from opfield import exact
 from opfield.algebras import PresymplecticComplex
-from opfield.cherns import pairing
-from opfield.complexes import ChainComplex, homology, homology_dims
+from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
+from opfield.complexes import (ChainComplex, ChainMap, homology, homology_dim, homology_dims,
+                               is_quasi_iso, mapping_cone)
 from opfield.envelope import ccr
 from opfield.exact import (RationalMatrix, kernel_basis, rank, rat, rat_str,
                            rref, solve, solve_many)
-from opfield.jsonio import surface_from_json
+from opfield.fieldtheory import quantize
+from opfield.jsonio import presymplectic_from_json, surface_from_json, theory_from_json
 from support import random_complex
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
@@ -497,3 +499,114 @@ def test_homology_representatives_match_fraction_reference():
             stacked = dnext.hstack(RationalMatrix.from_columns(cycles, rows=stage.dim(k)))
             reps = [cycles[p - dnext.cols] for p in reference_rref(stacked)[1] if p >= dnext.cols]
         assert homology(stage, k) == (len(reps), reps), k
+
+
+# ---------------------------------------------------------------------------
+# Clearing: on a complex, the rows of d(n) at the pivot columns of d(n-1)
+# can be left out without changing its rank
+
+def fresh_complex(c):
+    return ChainComplex(c.dims, {n: fresh(m) for n, m in c.diffs.items()})
+
+
+def assert_clearing_keeps_ranks(c, check_pivots=True):
+    """Rank each d(n) of the complex ``c`` plainly and with the rows at the
+    pivot columns of the cleared elimination of d(n-1) left out, as
+    ``homology_dims`` sweeps; assert that they agree, that the pivot columns
+    are independent, and that ``homology_dims`` and ``homology_dim`` on
+    fresh copies give the plain answer.  Returns the number of rows left out
+    and the nonzero homology dimensions."""
+    ranks, pivots, skipped = {}, [], 0
+    for n in range(min(c.support, default=0), max(c.support, default=0) + 2):
+        d = c.d(n)
+        plain, _ = exact._markowitz_rank(d)
+        cleared, cols = exact._markowitz_rank(d, pivots)
+        assert cleared == plain == len(cols), n
+        if check_pivots:
+            sub = RationalMatrix(d.rows, len(cols), {
+                (r, j): v for j, col in enumerate(cols) for r, v in d._by_column()[col]})
+            assert rank(sub) == len(cols), n
+        ranks[n] = plain
+        skipped += len(pivots)
+        pivots = cols
+    expected = {n: c.dim(n) - ranks[n] - ranks[n + 1] for n in c.support}
+    copy = fresh_complex(c)
+    assert {n: homology_dim(copy, n) for n in c.support} == expected
+    nonzero = {n: h for n, h in expected.items() if h}
+    assert homology_dims(fresh_complex(c)) == nonzero
+    return skipped, nonzero
+
+
+def test_clearing_keeps_ranks_of_random_complexes():
+    rng = Random(1601)
+    skipped = nonacyclic = 0
+    for max_total, span in [(12, (-2, 3))] * 30 + [(40, (-1, 2))] * 10 + [(0, (0, 0))]:
+        rows, h = assert_clearing_keeps_ranks(random_complex(rng, max_total, span))
+        skipped += rows
+        nonacyclic += bool(h)
+    assert skipped > 100 and nonacyclic > 20
+    # an empty complex, and zero differentials between nonzero degrees
+    assert_clearing_keeps_ranks(ChainComplex({}))
+    assert_clearing_keeps_ranks(ChainComplex({0: 2, 1: 3, 3: 1}))
+
+
+def shipped_ccr_algebras():
+    for name in ("annulus2", "annulus3", "disk1", "tetra_sphere", "torus9"):
+        yield name, pairing(surface_from_json(json.loads((DATA / f"{name}.json").read_text())))
+    doc = json.loads((DATA / "plane_presymplectic.json").read_text())
+    yield "plane_presymplectic", presymplectic_from_json(doc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clearing_keeps_ranks_of_shipped_ccr_stages(n):
+    for name, p in shipped_ccr_algebras():
+        stage = ccr(p, n).stage_complex()
+        _, h = assert_clearing_keeps_ranks(stage, check_pivots=stage.total_dim() < 5000)
+        # H(Sym^{<=n} V) = Sym^{<=n} H(V)
+        sym = ccr(PresymplecticComplex(ChainComplex(homology_dims(p.carrier)), {}), n)
+        assert h == {k: v for k, v in sym.stage_dims(n).items() if v}, name
+
+
+def null_homotopic(rng, c):
+    """d h + h d for a random h of degree +1: a chain map ``c -> c``."""
+    h = {n: random_sparse(rng, c.dim(n + 1), c.dim(n), 0.5) for n in c.support}
+    zero = RationalMatrix.zero
+    return {n: c.d(n + 1) @ h.get(n, zero(c.dim(n + 1), c.dim(n)))
+            + h.get(n - 1, zero(c.dim(n), c.dim(n - 1))) @ c.d(n) for n in c.support}
+
+
+def cone_cases():
+    """(chain map, whether it is a quasi-isomorphism)."""
+    rng = Random(1602)
+    for _ in range(20):
+        c = random_complex(rng)
+        # a map that is zero on homology is a quasi-isomorphism iff c is
+        # acyclic, that is iff the plain ranks add up to half of c
+        acyclic = c.total_dim() == 2 * sum(exact._markowitz_rank(m)[0] for m in c.diffs.values())
+        f = null_homotopic(rng, c)
+        yield ChainMap(c, c, f), acyclic
+        one = {n: RationalMatrix.identity(c.dim(n)) + m for n, m in f.items()}
+        yield ChainMap(c, c, one), True
+        yield ChainMap.zero(c, c), acyclic
+    f = collar_inclusion()
+    collar = build_bcs(SurfaceDiagram({"small": f.source, "large": f.target},
+                                      {"collar": ("small", "large", f)}))
+    for _, stage_map in quantize(collar, 2, check=False).stage_maps("collar"):
+        yield stage_map, True
+    toy3 = quantize(theory_from_json(json.loads((DATA / "toy3_theory.json").read_text())), 3,
+                    check=False)
+    for m in ("f1", "f2"):
+        for label, stage_map in toy3.stage_maps(m):
+            yield stage_map, label == "stage 0"
+
+
+def test_clearing_keeps_ranks_of_mapping_cones():
+    quasi_isos = others = 0
+    for f, qiso in cone_cases():
+        assert_clearing_keeps_ranks(mapping_cone(f))
+        fresh_map = ChainMap(fresh_complex(f.source), fresh_complex(f.target),
+                             {n: fresh(m) for n, m in f.components.items()})
+        assert is_quasi_iso(fresh_map) == qiso
+        quasi_isos += qiso
+        others += not qiso
+    assert quasi_isos > 20 and others > 10
