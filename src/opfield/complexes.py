@@ -12,8 +12,8 @@ acyclic complexes such as CCR stages are most of the rows that would reduce
 to zero.  So :func:`homology_dim`, :func:`homology_dims` and
 :func:`is_quasi_iso` require ``d.d = 0`` (and a chain map, for the cone) and
 do not check it: :func:`validate_complex` does.  Homology representatives
-and induced maps on homology use the canonical elimination from
-:mod:`opfield.exact`, so basis choices are reproducible.
+are read off the canonical elimination from :mod:`opfield.exact`, so basis
+choices are reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import StructuralError
-from .exact import RationalMatrix, Vector, kernel_basis, rank_pivots, rref, solve_many
+from .exact import RationalMatrix, Vector, kernel_basis, rank_pivots, rref
 
 
 class ChainComplex:
@@ -200,32 +200,6 @@ class ChainMap:
             if lhs != rhs:
                 issues.append(f"degree {n}: d.f != f.d")
         return issues
-
-
-def induced_homology_map(f: ChainMap, n: int) -> RationalMatrix:
-    """Matrix of H_n(f) in the canonical representative bases.
-
-    The image of each source representative is decomposed as a combination of
-    target representatives plus a boundary; failure to decompose would mean
-    ``f`` is not a chain map and raises AssertionError.
-    """
-    src_dim, src_reps = homology(f.source, n)
-    tgt_dim, tgt_reps = homology(f.target, n)
-    if src_dim == 0 or f.target.dim(n) == 0:
-        return RationalMatrix.zero(tgt_dim, src_dim)
-    reps_matrix = RationalMatrix.from_columns(tgt_reps, rows=f.target.dim(n)) if tgt_reps \
-        else RationalMatrix.zero(f.target.dim(n), 0)
-    system = reps_matrix.hstack(f.target.d(n + 1))
-    images = [f.component(n).apply(z) for z in src_reps]
-    sols = solve_many(system, images)
-    entries = {}
-    for j, x in enumerate(sols):
-        if x is None:
-            raise AssertionError("cycle image is not a cycle modulo boundaries; f is not a chain map")
-        for i in range(tgt_dim):
-            if x[i]:
-                entries[(i, j)] = x[i]
-    return RationalMatrix(tgt_dim, src_dim, entries)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

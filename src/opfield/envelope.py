@@ -348,10 +348,6 @@ def envelope(v: DgAlgebra, n_max: int) -> TruncatedEnvelope:
     return TruncatedEnvelope(v, n_max)
 
 
-def normal_form(word: Sequence[int], env: TruncatedEnvelope) -> PBWElement:
-    return env.normal_form(word)
-
-
 def ccr(v: PresymplecticComplex, n_max: int) -> TruncatedEnvelope:
     """CCR algebra of a presymplectic complex: envelope of its Heisenberg
     algebra.  Generators satisfy [x, y] = omega(x, y) * 1."""

@@ -1,10 +1,11 @@
 """Exact rational scalars and sparse linear algebra over the rationals.
 
-Everything downstream (homology, normal forms, causality checks) reduces to
-rank / kernel / solve questions about sparse matrices with Fraction entries.
-No floating point is used anywhere; all results are exact.
+Everything downstream (homology, W-constancy, Chern-Simons pairings)
+reduces to two questions about sparse matrices with Fraction entries: a rank,
+and a canonical basis (the reduced row echelon form and the kernel read off
+it).  No floating point is used anywhere; all results are exact.
 
-One fraction-free elimination answers two kinds of question.  It works on
+One fraction-free elimination answers both questions.  It works on
 primitive integer rows: each row is cleared of denominators and divided by
 its content, and a row with entry ``f`` under a positive pivot ``pv``
 becomes ``(pv//g)*row - (f//g)*pivot_row`` (``g = gcd(pv, f)``).  Such a
@@ -13,9 +14,9 @@ row, so no Fraction, modulus or certificate is needed to stay exact.  The
 two questions differ in pivot order.  ``rank`` needs only a number, so it
 pivots for sparsity (Markowitz: sparsest row, then that row's sparsest
 column), clears only the rows not yet used and never back-substitutes.
-``rref``, ``kernel_basis`` and ``solve_many`` need a basis, so they take
-pivot columns left to right, the sparsest row holding each, and clear every
-other row; they divide a pivot row by its pivot only when they read it out.
+``rref`` and ``kernel_basis`` need a basis, so they take pivot columns left
+to right, the sparsest row holding each, and clear every other row; they
+divide a pivot row by its pivot only when they read it out.
 The reduced row echelon form is unique, so the pivot order never shows in a
 result: every reported basis is the canonical one.
 
@@ -30,12 +31,12 @@ lowering its rank.  The rows that go are mostly rows the elimination would
 have reduced to zero.  Only the caller knows that ``d.d = 0`` holds; on other
 matrices a cleared rank can be too low.
 
-Matrices are immutable after construction.  Ranks with their pivot columns,
-row-reduction results and the column index :meth:`RationalMatrix._by_column`
-are memoized on the matrix object, so repeated homology queries against the
-same differential do not re-eliminate and every map that reads a matrix
-column by column shares one index.  A cleared rank is memoized as the rank of
-the whole matrix, which it is when ``d.d = 0``.
+Matrices are immutable after construction.  Ranks with their pivot columns
+and the column index :meth:`RationalMatrix._by_column` are memoized on the
+matrix object, so repeated homology dimensions of the same differential do
+not re-eliminate and every map that reads a matrix column by column shares
+one index.  A cleared rank is memoized as the rank of the whole matrix, which
+it is when ``d.d = 0``.
 
 Sparse vectors everywhere in the package (algebra elements, PBW elements,
 structure-tensor cells, matrix entries) are dicts that never hold a zero.
@@ -96,10 +97,6 @@ def rat_str(value: Fraction) -> str:
 Vector = tuple  # dense tuple of Fractions
 
 
-def vec(values: Iterable) -> Vector:
-    return tuple(rat(v) for v in values)
-
-
 class RationalMatrix:
     """Sparse matrix over the rationals, stored as (row, col) -> Fraction.
 
@@ -107,7 +104,7 @@ class RationalMatrix:
     all operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_rank", "_columns")
+    __slots__ = ("rows", "cols", "entries", "_rank", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Mapping = ()):
         if rows < 0 or cols < 0:
@@ -123,7 +120,6 @@ class RationalMatrix:
             if v:
                 clean[(r, c)] = v
         self.entries = clean
-        self._rref = None
         self._rank = None
         self._columns = None
 
@@ -246,9 +242,8 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def _integer_rows(m: RationalMatrix, bs: Sequence[Sequence] = (), skip_rows: Iterable[int] = ()):
-    """The rows of ``m``, with each right-hand side ``bs[j]`` as column
-    ``m.cols + j``, as primitive integer rows (times the lcm of their
+def _integer_rows(m: RationalMatrix, skip_rows: Iterable[int] = ()):
+    """The rows of ``m`` as primitive integer rows (times the lcm of their
     denominators, over their content), and the index ``col -> set of rows``.
     The rows ``skip_rows`` are loaded empty."""
     rows = [dict() for _ in range(m.rows)]
@@ -256,11 +251,6 @@ def _integer_rows(m: RationalMatrix, bs: Sequence[Sequence] = (), skip_rows: Ite
         rows[r][c] = v
     for r in skip_rows:
         rows[r] = {}
-    for j, b in enumerate(bs):
-        for r, v in enumerate(b):
-            v = rat(v)
-            if v:
-                rows[r][m.cols + j] = v
     colindex: dict = {}
     for ri, row in enumerate(rows):
         den = lcm(*(v.denominator for v in row.values()))
@@ -312,15 +302,15 @@ def _clear_column(rows: list, colindex: dict, holders: Iterable, prow: dict, pc)
 
 
 def _eliminate(rows: list, colindex: dict, ncols: int) -> list:
-    """In-place Gauss-Jordan on integer rows over the first ``ncols`` columns.
+    """In-place Gauss-Jordan on integer rows with ``ncols`` columns.
 
     Columns are scanned left to right.  The pivot for a column is the
     not-yet-used row with a nonzero entry there that has the fewest nonzeros
     (ties to the lower row index), which limits fill-in; the column is
     cleared from every other row, pivot rows included.  Afterwards each
     pivot row, divided by its pivot, is a row of the unique RREF, and every
-    other row is zero on the eliminated columns.  Returns the list of
-    ``(pivot_column, row_index)`` pairs in column order.
+    other row is zero.  Returns the list of ``(pivot_column, row_index)``
+    pairs in column order.
     """
     used = set()
     pivots = []
@@ -337,7 +327,7 @@ def _eliminate(rows: list, colindex: dict, ncols: int) -> list:
         holders.discard(cand)
         _clear_column(rows, colindex, holders, rows[cand], c)
     for ri, row in enumerate(rows):
-        if ri not in used and any(c < ncols for c in row):
+        if ri not in used and row:
             raise AssertionError("elimination left a nonzero non-pivot row")
     return pivots
 
@@ -348,8 +338,6 @@ def rref(m: RationalMatrix):
     Returns ``(rank, pivot_columns, reduced)`` where ``reduced`` is the unique
     RREF of ``m`` (pivot rows first, ordered by pivot column; zero rows last).
     """
-    if m._rref is not None:
-        return m._rref
     rows, colindex = _integer_rows(m)
     pivots = _eliminate(rows, colindex, m.cols)
     entries = {}
@@ -358,12 +346,7 @@ def rref(m: RationalMatrix):
         pv = row[c]
         for k, v in row.items():
             entries[(out_r, k)] = Fraction(v, pv)
-    reduced = RationalMatrix(m.rows, m.cols, entries)
-    pivot_cols = [c for c, _ in pivots]
-    result = (len(pivots), pivot_cols, reduced)
-    m._rref = result
-    reduced._rref = (len(pivots), pivot_cols, reduced)
-    return result
+    return len(pivots), [c for c, _ in pivots], RationalMatrix(m.rows, m.cols, entries)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -374,7 +357,7 @@ def rank(m: RationalMatrix) -> int:
     row's sparsest column (ties to the lower index), clears the column from
     the rows not yet used and drops the pivot row, never back-substituting.
     The row step keeps the rank over Q whatever the pivot order: ``rank``
-    agrees with ``rref``, whose cached result it reuses when present.
+    agrees with ``rref``.
     """
     return rank_pivots(m)[0]
 
@@ -391,7 +374,7 @@ def rank_pivots(m: RationalMatrix, skip_rows: Iterable[int] = ()) -> tuple:
     returns them whatever its ``skip_rows``.
     """
     if m._rank is None:
-        m._rank = m._rref[:2] if m._rref is not None else _markowitz_rank(m, skip_rows)
+        m._rank = _markowitz_rank(m, skip_rows)
     return m._rank
 
 
@@ -443,36 +426,3 @@ def kernel_basis(m: RationalMatrix) -> list:
         basis.append(tuple(v))
     return basis
 
-
-def solve(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
-    """One solution of ``m x = b`` with free variables set to zero, or None."""
-    sols = solve_many(m, [b])
-    return sols[0]
-
-
-def solve_many(m: RationalMatrix, bs: Sequence[Sequence]) -> list:
-    """Solve ``m x = b`` for several right-hand sides with one elimination.
-
-    Each result is either a solution vector (free variables zero) or None
-    when the right-hand side is outside the column space.
-    """
-    for b in bs:
-        if len(b) != m.rows:
-            raise ValueError("right-hand side length does not match row count")
-    rows, colindex = _integer_rows(m, bs)
-    pivots = _eliminate(rows, colindex, m.cols)
-    pivot_rows = {ri for _, ri in pivots}
-    unsolvable = {c - m.cols for ri, row in enumerate(rows) if ri not in pivot_rows
-                  for c in row}
-    out = []
-    for j in range(len(bs)):
-        if j in unsolvable:
-            out.append(None)
-            continue
-        x = [_ZERO] * m.cols
-        for c, ri in pivots:
-            v = rows[ri].get(m.cols + j)
-            if v:
-                x[c] = Fraction(v, rows[ri][c])
-        out.append(tuple(x))
-    return out

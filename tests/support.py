@@ -1,5 +1,7 @@
 """Shared constructors for tests: catalog algebras, random complexes,
-random presymplectic structures, random associative dg algebras.
+random presymplectic structures, random associative dg algebras, and a
+``Fraction`` Gauss-Jordan reference for solving linear systems and for the
+maps that chain maps induce on homology.
 
 Randomness is always driven by a caller-supplied ``random.Random`` so test
 runs are reproducible.  "Random" algebras are produced by conjugating
@@ -12,8 +14,8 @@ from random import Random
 
 from opfield import operads
 from opfield.algebras import DgAlgebra, PresymplecticComplex
-from opfield.complexes import ChainComplex
-from opfield.exact import RationalMatrix, kernel_basis, solve_many
+from opfield.complexes import ChainComplex, homology
+from opfield.exact import RationalMatrix, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,87 @@ def truncated_poisson_algebra() -> DgAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# reference linear algebra: plain Fraction Gauss-Jordan on sparse rows,
+# independent of the integer eliminations in opfield.exact
+# ---------------------------------------------------------------------------
+
+def reference_rows(m: RationalMatrix, bs=()) -> list:
+    """The rows of ``m`` as zero-free ``col -> Fraction`` dicts, with each
+    right-hand side ``bs[j]`` as column ``m.cols + j``."""
+    rows = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    for j, b in enumerate(bs):
+        for r, v in enumerate(b):
+            if v:
+                rows[r][m.cols + j] = Fraction(v)
+    return rows
+
+
+def reference_eliminate(rows: list, ncols: int) -> list:
+    """Gauss-Jordan in place over the first ``ncols`` columns: pivot columns
+    left to right, in each the lowest-index unused row with a nonzero entry,
+    divided by its pivot and cleared from every other row.  Returns the
+    ``(pivot_column, row_index)`` pairs."""
+    used = set()
+    pivots = []
+    for c in range(ncols):
+        cand = next((r for r, row in enumerate(rows) if r not in used and c in row), None)
+        if cand is None:
+            continue
+        used.add(cand)
+        pivots.append((c, cand))
+        inv = 1 / rows[cand][c]
+        prow = rows[cand] = {k: v * inv for k, v in rows[cand].items()}
+        for r, row in enumerate(rows):
+            f = row.get(c)
+            if r != cand and f:
+                for k, v in prow.items():
+                    nv = row.get(k, 0) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+    return pivots
+
+
+def reference_solve_many(m: RationalMatrix, bs) -> list:
+    """For each ``b`` in ``bs``, one solution of ``m x = b`` with the free
+    variables zero, or None when ``b`` is outside the column space."""
+    rows = reference_rows(m, bs)
+    pivots = reference_eliminate(rows, m.cols)
+    pivot_rows = {ri for _, ri in pivots}
+    unsolvable = {c - m.cols for r, row in enumerate(rows) if r not in pivot_rows for c in row}
+    out = []
+    for j in range(len(bs)):
+        x = [Fraction(0)] * m.cols
+        for c, ri in pivots:
+            x[c] = rows[ri].get(m.cols + j, Fraction(0))
+        out.append(None if j in unsolvable else tuple(x))
+    return out
+
+
+def reference_solve(m: RationalMatrix, b):
+    return reference_solve_many(m, [b])[0]
+
+
+def reference_induced_homology_map(f, n: int) -> RationalMatrix:
+    """Matrix of H_n(f) in the canonical representative bases of
+    :func:`opfield.complexes.homology`: the image of each source
+    representative, solved as target representatives plus a boundary."""
+    src_dim, src_reps = homology(f.source, n)
+    tgt_dim, tgt_reps = homology(f.target, n)
+    reps = RationalMatrix.from_columns(tgt_reps, rows=f.target.dim(n))
+    system = reps.hstack(f.target.d(n + 1))
+    images = [f.component(n).apply(z) for z in src_reps]
+    entries = {}
+    for j, x in enumerate(reference_solve_many(system, images)):
+        assert x is not None, "cycle image is not a cycle modulo boundaries: f is not a chain map"
+        entries.update(((i, j), x[i]) for i in range(tgt_dim) if x[i])
+    return RationalMatrix(tgt_dim, src_dim, entries)
+
+
+# ---------------------------------------------------------------------------
 # random invertible basis changes
 # ---------------------------------------------------------------------------
 
@@ -187,8 +270,8 @@ def random_invertible(rng: Random, n: int) -> RationalMatrix:
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
-    cols = solve_many(m, [tuple(Fraction(1) if r == i else Fraction(0) for r in range(m.rows))
-                          for i in range(m.rows)])
+    cols = reference_solve_many(m, [tuple(Fraction(1) if r == i else Fraction(0)
+                                          for r in range(m.rows)) for i in range(m.rows)])
     assert all(c is not None for c in cols)
     return RationalMatrix.from_columns(cols, rows=m.cols)
 

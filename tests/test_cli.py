@@ -120,33 +120,46 @@ def test_torus_quantized_at_three_has_the_homology_of_sym_three(capsys):
 
 
 def test_homotopy_check_w_runs_on_ranks_only(tmp_path, capsys, monkeypatch):
-    # quasi-isomorphisms are decided by mapping-cone ranks: no canonical
-    # elimination, homology representatives or induced maps
-    def refuse(*args):
-        raise RuntimeError("homotopy check-w left the rank path")
-
-    for name in ("rref", "solve_many"):
-        monkeypatch.setattr(exact, name, refuse)
-    for name in ("rref", "kernel_basis", "solve_many", "homology", "induced_homology_map"):
-        monkeypatch.setattr(complexes, name, refuse)
+    # quasi-isomorphisms are decided by mapping-cone ranks, and homology
+    # reports by ranks: no canonical elimination or homology representatives
     f = collar_inclusion()
     diagram = SurfaceDiagram({"small": f.source, "large": f.target},
                              {"collar": ("small", "large", f)})
     collar = tmp_path / "collar.json"
     collar.write_text(jsonio.dumps(jsonio.theory_to_json(build_bcs(diagram))))
+    surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
+    stage = tmp_path / "torus9-stage-n2.json"
+    stage.write_text(jsonio.dumps(jsonio.complex_to_json(ccr(pairing(surface), 2).stage_complex())))
+
+    def refuse(*args):
+        raise RuntimeError("a homology report left the rank path")
+
+    monkeypatch.setattr(exact, "rref", refuse)
+    for name in ("rref", "kernel_basis", "homology"):
+        monkeypatch.setattr(complexes, name, refuse)
     jobs = [
         (["check-w", str(collar), "--mode", "homotopy", "--w", "collar", "--n", "2"], 0,
-         [{"morphism": "collar", "ok": True, "witness": ""}]),
+         {"mode": "homotopy", "reports": [{"morphism": "collar", "ok": True, "witness": ""}]}),
         (["check-w", str(DATA / "toy3_theory.json"), "--mode", "homotopy",
           "--w", "id_c,id_c1,f1", "--n", "3"], 1,
-         [{"morphism": "id_c", "ok": True, "witness": ""},
-          {"morphism": "id_c1", "ok": True, "witness": ""},
-          {"morphism": "f1", "ok": False,
-           "witness": "stage 1: homology dims differ in degree 0: 3 != 5"}]),
+         {"mode": "homotopy", "reports": [
+             {"morphism": "id_c", "ok": True, "witness": ""},
+             {"morphism": "id_c1", "ok": True, "witness": ""},
+             {"morphism": "f1", "ok": False,
+              "witness": "stage 1: homology dims differ in degree 0: 3 != 5"}]}),
+        (["homology", str(stage)], 0,
+         {"homology": {"-1": 3, "-2": 0, "0": 7, "1": 3, "2": 0}}),
+        (["homology", str(stage), "--degree", "0"], 0, {"homology": {"0": 7}}),
+        (["cs", "homology", str(DATA / "torus9.json")], 0, {"-1": 1, "0": 2, "1": 1}),
+        (["cs", "quantize", str(DATA / "annulus3.json"), "--n", "3"], 0,
+         {"homology": {"-1": 3, "-2": 0, "-3": 0, "0": 4, "1": 0, "2": 0, "3": 0},
+          "stage_dims": {"-1": 1830, "-2": 1056, "-3": 220, "0": 1392, "1": 444, "2": 48,
+                         "3": 1},
+          "truncation": 3}),
     ]
-    for argv, code, reports in jobs:
+    for argv, code, report in jobs:
         assert main(argv) == code, argv
-        assert capsys.readouterr().out == jsonio.dumps({"mode": "homotopy", "reports": reports})
+        assert capsys.readouterr().out == jsonio.dumps(report), argv
 
 
 def test_check_causality_verb(capsys):
