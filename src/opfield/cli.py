@@ -162,7 +162,7 @@ def cmd_quantize(args) -> int:
         _emit({"causality": "violated", "violations": [str(v) for v in violations]}, args.out)
         return 1
     qft = quantize(ft, args.n)
-    objects = {obj: _dims_report(qft.algebra(obj).stage_dims()) for obj in ft.base.objects}
+    objects = {obj: _dims_report(qft.envelopes[obj].stage_dims()) for obj in ft.base.objects}
     _emit({"truncation": args.n, "causality": "ok", "stage_dims": objects}, args.out)
     return 0
 
@@ -174,7 +174,7 @@ def cmd_check_w(args) -> int:
     # actions, which must be chain maps
     issues = validate_functor(ft) + [
         f"algebra {obj}: {msg}" for obj in ft.base.objects
-        for msg in validate_differential(ft.linear_algebra(obj))]
+        for msg in validate_differential(ft.algebra(obj))]
     if issues:
         _emit({"valid": False, "issues": issues}, args.out)
         return 1

@@ -44,7 +44,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import operads
-from .algebras import DgAlgebra, Element, PresymplecticComplex, element_add, element_scale, heisenberg
+from .algebras import (DgAlgebra, Element, PresymplecticComplex, commutator_functor, element_add,
+                       element_scale, heisenberg, is_algebra_morphism, push_element)
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError, TruncationOverflow
 from .exact import _ONE, RationalMatrix, _add_into
@@ -404,18 +405,15 @@ class EnvelopeMap:
 
     def __init__(self, source_env: TruncatedEnvelope, target_env: TruncatedEnvelope,
                  rho: ChainMap):
-        from .algebras import push_element
-
         if source_env.truncation != target_env.truncation:
             raise StructuralError("source and target truncations differ")
         self.source_env = source_env
         self.target_env = target_env
         self.rho = rho
-        self.images: List[PBWElement] = []
-        for p, src_idx in enumerate(source_env.gens):
-            img = push_element(rho, source_env.source.basis, target_env.source.basis,
-                               source_env.source.basis_element(src_idx))
-            self.images.append(target_env.from_source_element(img))
+        src_basis, tgt_basis = source_env.source.basis, target_env.source.basis
+        self.images: List[PBWElement] = [
+            target_env.from_source_element(push_element(rho, src_basis, tgt_basis, {i: _ONE}))
+            for i in source_env.gens]
 
     def apply_words(self, words: Sequence[Word]) -> Dict[Word, PBWElement]:
         """Images of a prefix-closed list of words that lists every word after
@@ -440,13 +438,9 @@ class EnvelopeMap:
                     if tdeg != deg:
                         raise AssertionError("envelope map did not preserve degree")
                     entries[(row, col)] = c
-        matrices = {}
-        for deg, entries in comps.items():
-            rows = tgt_complex.dim(deg)
-            cols = src_complex.dim(deg)
-            if rows and cols and entries:
-                matrices[deg] = RationalMatrix(rows, cols, entries)
-        return ChainMap(src_complex, tgt_complex, matrices)
+        return ChainMap(src_complex, tgt_complex, {
+            deg: RationalMatrix(tgt_complex.dim(deg), src_complex.dim(deg), entries)
+            for deg, entries in comps.items()})
 
 
 def envelope_map(rho: ChainMap, source: DgAlgebra, target: DgAlgebra, n_max: int) -> EnvelopeMap:
@@ -455,8 +449,6 @@ def envelope_map(rho: ChainMap, source: DgAlgebra, target: DgAlgebra, n_max: int
     The map is first checked to be a morphism of unital Lie algebras; invalid
     maps are rejected with the list of defects.
     """
-    from .algebras import is_algebra_morphism
-
     issues = is_algebra_morphism(rho, source, target)
     if issues:
         raise StructuralError("not a unital Lie algebra morphism: " + "; ".join(issues))
@@ -469,49 +461,49 @@ def envelope_map(rho: ChainMap, source: DgAlgebra, target: DgAlgebra, n_max: int
 
 def validate_lie_map_into_algebra(env: TruncatedEnvelope, a: DgAlgebra,
                                   images: Sequence[Element]) -> List[str]:
-    """Check generator images define a unital Lie map V -> commutator algebra.
+    """Check that generator images define a unital Lie map V -> A^L.
 
-    ``images[p]`` is the value on generator p; the unit of V must go to the
-    unit of ``a``; brackets must match commutators; the differential must be
-    intertwined.  Also enforces the truncation-stability condition: products
-    of ``truncation + 1`` generator images must vanish in ``a``.
+    ``images[p]`` is the value on generator p, an element of ``a`` of that
+    generator's degree.  With the unit of V sent to the unit of ``a`` they
+    assemble a chain map rho of carriers, which must be a morphism of unital
+    Lie algebras into the commutator algebra A^L
+    (:func:`~opfield.algebras.is_algebra_morphism`): brackets go to graded
+    commutators and the differential is intertwined.  Maps U(V) -> A are
+    exactly such maps that also satisfy truncation stability: products of
+    ``truncation + 1`` generator images vanish in ``a``.
     """
-    issues = []
     if a.kind != "As":
         return [f"target must be associative, got {a.kind}"]
-    unit_a = a.structure[operads.ETA]
-    src = env.source
+    rho, issues = _generator_map(env, a, images)
+    return issues or (is_algebra_morphism(rho, env.source, commutator_functor(a))
+                      + _stability_defects(env, a, images))
 
-    def rho(x: Element) -> Element:
-        out: Element = {}
-        for i, c in x.items():
-            if i == env.unit_index:
-                out = element_add(out, element_scale(c / env.unit_coeff, unit_a))
-            else:
-                out = element_add(out, element_scale(c, images[env._pos[i]]))
-        return out
 
-    for p in range(len(env.gens)):
-        for q in range(len(env.gens)):
-            xi = src.basis_element(env.gens[p])
-            xj = src.basis_element(env.gens[q])
-            lhs = rho(src.apply_generator(operads.BRACKET, [xi, xj]))
-            di = env.gen_degree[p]
-            dj = env.gen_degree[q]
-            sign = -1 if (di * dj) % 2 else 1
-            fwd = a.apply_generator(operads.MU, [images[p], images[q]])
-            bwd = a.apply_generator(operads.MU, [images[q], images[p]])
-            rhs = element_add(fwd, element_scale(-sign, bwd))
-            if element_add(lhs, element_scale(-1, rhs)):
-                issues.append(f"bracket not preserved on generators ({p}, {q})")
-    for p in range(len(env.gens)):
-        lhs = rho(src.differential(src.basis_element(env.gens[p])))
-        rhs = a.differential(images[p])
-        if element_add(lhs, element_scale(-1, rhs)):
-            issues.append(f"differential not intertwined on generator {p}")
-    # truncation stability: (N+1)-fold products of generator images vanish
-    issues.extend(_stability_defects(env, a, images))
-    return issues
+def _generator_map(env: TruncatedEnvelope, a: DgAlgebra,
+                   images: Sequence[Element]) -> Tuple[Optional[ChainMap], List[str]]:
+    """The carrier map rho: unit to unit, generator p to ``images[p]``; None,
+    with one issue per generator, when the images are not a graded map."""
+    k, total = len(env.gens), a.basis.total
+    issues = ([f"generator {p}: no image given" for p in range(len(images), k)]
+              + [f"image {p}: there is no generator {p} (V has {k})" for p in range(k, len(images))])
+    columns = [("unit", env.unit_index, element_scale(1 / env.unit_coeff, a.structure[operads.ETA]))]
+    columns += [(f"generator {p}", i, images[p]) for p, i in enumerate(env.gens[:len(images)])]
+    blocks: Dict[int, dict] = {}
+    for label, i, y in columns:
+        n, col = env.source.basis.to_local(i)
+        bad = next((j for j in sorted(y) if not 0 <= j < total or a.basis.degree_of(j) != n), None)
+        if bad is None:
+            blocks.setdefault(n, {}).update(((a.basis.to_local(j)[1], col), c) for j, c in y.items())
+        elif 0 <= bad < total:
+            issues.append(f"{label}: image has a component in degree {a.basis.degree_of(bad)}, "
+                          f"not in degree {n}")
+        else:
+            issues.append(f"{label}: image index {bad} outside the target basis")
+    if issues:
+        return None, issues
+    return ChainMap(env.source.carrier, a.carrier, {
+        n: RationalMatrix(a.carrier.dim(n), env.source.carrier.dim(n), block)
+        for n, block in blocks.items()}), []
 
 
 def _stability_defects(env: TruncatedEnvelope, a: DgAlgebra, images: Sequence[Element]) -> List[str]:
@@ -532,8 +524,8 @@ def _stability_defects(env: TruncatedEnvelope, a: DgAlgebra, images: Sequence[El
 
 def extend_from_generators(env: TruncatedEnvelope, a: DgAlgebra,
                            images: Sequence[Element]) -> Dict[Word, Element]:
-    """Left-to-right multiplicative extension kappa of generator images,
-    after checking that they define a morphism.
+    """Left-to-right multiplicative extension kappa: U(V) -> A of generator
+    images, after :func:`validate_lie_map_into_algebra` has accepted them.
 
     Returns the values of kappa on every PBW monomial of the stage.
     """
@@ -541,11 +533,8 @@ def extend_from_generators(env: TruncatedEnvelope, a: DgAlgebra,
     if issues:
         raise StructuralError("generator images do not define a morphism: " + "; ".join(issues))
     values: Dict[Word, Element] = {(): dict(a.structure[operads.ETA])}
-    for w in env.monomials():
-        if w == ():
-            continue
-        prefix = values[w[:-1]]
-        values[w] = a.apply_generator(operads.MU, [prefix, images[w[-1]]])
+    for w in env.monomials()[1:]:  # after the empty word, every word follows its prefix
+        values[w] = a.apply_generator(operads.MU, [values[w[:-1]], images[w[-1]]])
     return values
 
 
@@ -557,7 +546,9 @@ def restrict_to_generators(env: TruncatedEnvelope, kappa: Mapping[Word, Element]
 def adjunction_roundtrip(env: TruncatedEnvelope, a: DgAlgebra,
                          images: Optional[Sequence[Element]] = None,
                          kappa: Optional[Mapping[Word, Element]] = None):
-    """Run the unit/counit roundtrips of the envelope adjunction.
+    """Run the unit/counit roundtrips of the envelope adjunction, whose
+    left adjoint is the truncated envelope V -> U(V) and whose right adjoint
+    is the commutator algebra A -> A^L.
 
     Exactly one of ``images`` (a Lie map on generators) or ``kappa`` (an
     algebra map on monomials) must be given; returns the pair

@@ -7,9 +7,11 @@ equally on images of orthogonal morphism pairs; for the named kinds this is
 bracket-vanishing (uLie/Pois) alternatively commutator-vanishing (As).
 
 Quantization replaces every algebra by a truncated enveloping algebra and
-every action by its multiplicative extension; a quantized theory is its
-linear theory plus the truncation bound.  Quantization is a functor, so
-:func:`validate_functor` checks the linear data of either kind, and
+every action by its multiplicative extension.  Both are determined by the
+linear data, so a quantized theory stores its linear theory's dg algebras and
+chain maps plus the truncation bound, and builds the envelopes and envelope
+maps from them once, in its constructor.  Quantization is a functor, so
+:func:`validate_functor` reads the linear data of either kind, and
 W-constancy is checked on :meth:`FieldTheory.stage_maps`, one chain map per
 filtration stage.  Only causality reads the envelopes themselves, on monomial
 pairs whose lengths fit the bound.
@@ -18,10 +20,10 @@ pairs whose lengths fit the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import operads
-from .algebras import DgAlgebra, is_algebra_morphism, push_rows
+from .algebras import DgAlgebra, commutator_functor, is_algebra_morphism, push_rows
 from .complexes import ChainMap, homology_dim, is_quasi_iso
 from .envelope import EnvelopeMap, TruncatedEnvelope, envelope
 from .errors import StructuralError
@@ -175,25 +177,21 @@ def orth_closure(seeds: Iterable[Pair], cat: OrthCategory) -> Set[Pair]:
     return closure
 
 
-AlgebraLike = Union[DgAlgebra, TruncatedEnvelope]
-ActionLike = Union[ChainMap, EnvelopeMap]
-
-
 class FieldTheory:
     """Functor from a finite orthogonal category to algebras of one kind.
 
-    A linear (structure-constant) theory assigns a :class:`DgAlgebra` to every
-    object and a :class:`ChainMap` to every morphism.  A quantized theory is a
-    linear theory plus its truncation bound N: it assigns the stage-N
-    envelopes (:class:`TruncatedEnvelope`) and their :class:`EnvelopeMap`
-    extensions.  :meth:`linear_algebra` and :meth:`linear_action` give the
-    linear data of either; :meth:`stage_maps` gives the chain maps that
-    W-constancy is checked on.
+    A theory assigns a :class:`DgAlgebra` to every object and a
+    :class:`ChainMap` to every morphism; missing identity actions are filled
+    in.  A quantized theory keeps its linear (uLie) data here and adds the
+    truncation bound N: the constructor then builds the stage-N envelope of
+    every object (:attr:`envelopes`) and the :class:`EnvelopeMap` of every
+    morphism (:attr:`envelope_maps`).  :meth:`stage_maps` gives the chain
+    maps that W-constancy is checked on.
     """
 
     def __init__(self, base: OrthCategory, kind: str,
-                 assignment: Mapping[str, AlgebraLike],
-                 action: Mapping[str, ActionLike],
+                 assignment: Mapping[str, DgAlgebra],
+                 action: Mapping[str, ChainMap],
                  truncation: Optional[int] = None):
         self.base = base
         self.kind = kind
@@ -203,50 +201,38 @@ class FieldTheory:
         missing = set(base.objects) - set(self.assignment)
         if missing:
             raise StructuralError(f"no algebra assigned to objects {sorted(missing)}")
-        if truncation is not None:
-            for obj, env in sorted(self.assignment.items()):
-                if not isinstance(env, TruncatedEnvelope) or env.truncation != truncation:
-                    raise StructuralError(
-                        f"algebra on {obj}: expected an envelope at truncation {truncation}")
-        expected, noun = ((ChainMap, "a chain map") if truncation is None
-                          else (EnvelopeMap, "an envelope map"))
-        self.action: Dict[str, ActionLike] = {}
+        for obj, a in sorted(self.assignment.items()):
+            if not isinstance(a, DgAlgebra):
+                raise StructuralError(f"algebra on {obj}: expected a dg algebra")
+        self.action: Dict[str, ChainMap] = {}
         for m, (src, tgt) in base.morphisms.items():
             if base.is_identity(m) and m not in action:
-                self.action[m] = self._identity_action(src)
+                self.action[m] = ChainMap.identity(self.assignment[src].carrier)
+            elif m not in action:
+                raise StructuralError(f"no action supplied for morphism {m}")
+            elif not isinstance(action[m], ChainMap):
+                raise StructuralError(f"action {m}: expected a chain map")
             else:
-                if m not in action:
-                    raise StructuralError(f"no action supplied for morphism {m}")
-                if not isinstance(action[m], expected):
-                    raise StructuralError(f"action {m}: expected {noun}")
                 self.action[m] = action[m]
+        quantized = truncation is not None
+        self.envelopes: Dict[str, TruncatedEnvelope] = {
+            obj: envelope(self.assignment[obj], truncation) for obj in base.objects if quantized}
+        self.envelope_maps: Dict[str, EnvelopeMap] = {
+            m: EnvelopeMap(self.envelopes[src], self.envelopes[tgt], self.action[m])
+            for m, (src, tgt) in base.morphisms.items() if quantized}
 
-    def algebra(self, obj: str) -> AlgebraLike:
+    def algebra(self, obj: str) -> DgAlgebra:
         return self.assignment[obj]
-
-    def linear_algebra(self, obj: str) -> DgAlgebra:
-        a = self.assignment[obj]
-        return a if self.truncation is None else a.source
-
-    def linear_action(self, m: str) -> ChainMap:
-        act = self.action[m]
-        return act if self.truncation is None else act.rho
 
     def stage_maps(self, m: str) -> Iterator[Tuple[Optional[str], ChainMap]]:
         """``(label, chain map)``: the action itself, labelled None, for a
         linear theory; the action on filtration stage n, labelled ``stage n``,
         for n = 0..N, built as it is asked for, for a quantized one."""
-        act = self.action[m]
         if self.truncation is None:
-            yield None, act
+            yield None, self.action[m]
             return
         for n in range(self.truncation + 1):
-            yield f"stage {n}", act.stage_chain_map(n)
-
-    def _identity_action(self, obj: str) -> ActionLike:
-        ident = ChainMap.identity(self.linear_algebra(obj).carrier)
-        a = self.assignment[obj]
-        return ident if self.truncation is None else EnvelopeMap(a, a, ident)
+            yield f"stage {n}", self.envelope_maps[m].stage_chain_map(n)
 
 
 @dataclass
@@ -267,15 +253,13 @@ def validate_functor(ft: FieldTheory) -> List[str]:
     theory too)."""
     issues = [f"base category: {m}" for m in ft.base.validate()]
     for m, (src, tgt) in ft.base.morphisms.items():
-        morphism_issues = is_algebra_morphism(ft.linear_action(m), ft.linear_algebra(src),
-                                              ft.linear_algebra(tgt))
+        morphism_issues = is_algebra_morphism(ft.action[m], ft.algebra(src), ft.algebra(tgt))
         issues.extend(f"action {m}: {msg}" for msg in morphism_issues)
     for obj in ft.base.objects:
-        ident = ft.linear_action(ft.base.identities[obj])
-        if ident != ChainMap.identity(ft.linear_algebra(obj).carrier):
+        if ft.action[ft.base.identities[obj]] != ChainMap.identity(ft.algebra(obj).carrier):
             issues.append(f"identity action on {obj} is not the identity")
     for (g, f), gf in ft.base._compose.items():
-        if ft.linear_action(gf) != ft.linear_action(g).compose(ft.linear_action(f)):
+        if ft.action[gf] != ft.action[g].compose(ft.action[f]):
             issues.append(f"functoriality fails: action({gf}) != action({g}).action({f})")
     return issues
 
@@ -314,14 +298,14 @@ def _tensor_violations(ft: FieldTheory, f1: str, f2: str) -> List[CausalityViola
 def _monomial_violations(ft: FieldTheory, f1: str,
                          f2: str) -> Tuple[List[CausalityViolation], List[CausalityViolation]]:
     """Violations of (f1, f2) and, from the same commutators, of (f2, f1)."""
-    env_c: TruncatedEnvelope = ft.algebra(ft.base.target(f1))
-    env1: TruncatedEnvelope = ft.algebra(ft.base.source(f1))
-    env2: TruncatedEnvelope = ft.algebra(ft.base.source(f2))
+    env_c = ft.envelopes[ft.base.target(f1)]
+    env1 = ft.envelopes[ft.base.source(f1)]
+    env2 = ft.envelopes[ft.base.source(f2)]
     n = ft.truncation
     words1 = env1.monomials(n - 1)
     words2 = env2.monomials(n - 1)
-    images1 = ft.action[f1].apply_words(words1)
-    images2 = ft.action[f2].apply_words(words2)
+    images1 = ft.envelope_maps[f1].apply_words(words1)
+    images2 = ft.envelope_maps[f2].apply_words(words2)
     forward, mirrored = [], []
     for i, u in enumerate(words1[1:]):
         x = images1[u]
@@ -341,17 +325,14 @@ def _monomial_violations(ft: FieldTheory, f1: str,
 def quantize(lft: FieldTheory, n_max: int, check: bool = True) -> FieldTheory:
     """Pointwise truncated envelope of a linear (uLie) field theory.
 
-    The output is an As-kind theory at truncation ``n_max``; with ``check``
-    it is asserted to pass the causality check with the commutator pair,
-    which holds whenever the input passes bracket-vanishing causality.
+    The output is an As-kind theory at truncation ``n_max`` on the same
+    linear data; with ``check`` it is asserted to pass the causality check
+    with the commutator pair, which holds whenever the input passes
+    bracket-vanishing causality.
     """
     if lft.kind != "uLie":
         raise StructuralError(f"quantize expects a uLie theory, got {lft.kind}")
-    envs = {obj: envelope(lft.algebra(obj), n_max) for obj in lft.base.objects}
-    actions: Dict[str, EnvelopeMap] = {}
-    for m, (src, tgt) in lft.base.morphisms.items():
-        actions[m] = EnvelopeMap(envs[src], envs[tgt], lft.action[m])
-    qft = FieldTheory(lft.base, "As", envs, actions, truncation=n_max)
+    qft = FieldTheory(lft.base, "As", lft.assignment, lft.action, truncation=n_max)
     if check:
         violations = check_causality(qft)
         if violations:
@@ -362,8 +343,6 @@ def quantize(lft: FieldTheory, n_max: int, check: bool = True) -> FieldTheory:
 
 def dequantize(qft: FieldTheory) -> FieldTheory:
     """Pointwise commutator functor on a structure-constant As theory."""
-    from .algebras import commutator_functor
-
     if qft.kind != "As" or qft.truncation is not None:
         raise StructuralError("dequantize expects a structure-constant As theory")
     algebras = {obj: commutator_functor(qft.algebra(obj)) for obj in qft.base.objects}

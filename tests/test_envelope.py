@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -14,7 +15,7 @@ from opfield.envelope import (adjunction_roundtrip, ccr, envelope,
 from opfield.errors import StructuralError, TruncationOverflow
 from opfield.exact import RationalMatrix
 
-from support import dual_numbers, matrix_algebra, random_presymplectic
+from support import dual_numbers, exterior_line, matrix_algebra, random_presymplectic
 
 
 def abelian_line():
@@ -440,7 +441,7 @@ def test_heisenberg_matrix_representation_is_rejected():
     # e1 -> E12, e2 -> E21: [E12, E21] = E11 - E22 != identity
     images = [{1: Fraction(1)}, {2: Fraction(1)}]
     issues = validate_lie_map_into_algebra(env, a, images)
-    assert any("bracket not preserved" in line for line in issues)
+    assert "bracket not intertwined at basis tuple (0, 1)" in issues
     with pytest.raises(StructuralError):
         extend_from_generators(env, a, images)
 
@@ -450,6 +451,39 @@ def test_stability_condition_enforced():
     a = dual_numbers()
     issues = validate_lie_map_into_algebra(env, a, [{0: Fraction(1)}])  # x -> 1
     assert any("stability" in line for line in issues)
+
+
+def odd_degree_one_line():
+    """One generator x of degree 1 plus the unit in degree 0, zero bracket."""
+    return DgAlgebra(ChainComplex({0: 1, 1: 1}), "uLie",
+                     {operads.BRACKET: {}, operads.ETA: {0: Fraction(1)}})
+
+
+def test_odd_generator_goes_to_an_odd_element():
+    env = envelope(odd_degree_one_line(), 3)
+    theta = [{1: Fraction(1)}]
+    assert validate_lie_map_into_algebra(env, exterior_line(), theta) == []
+    _, kappa = adjunction_roundtrip(env, exterior_line(), images=theta)
+    assert kappa[(0,)] == {1: Fraction(1)}
+    # d(theta) = 1 while dx = 0: the differential is not intertwined
+    assert validate_lie_map_into_algebra(env, exterior_line(1), theta) == [
+        "chain map: degree 1: d.f != f.d"]
+
+
+@pytest.mark.parametrize("v, images, issue", [
+    # x has degree 1, epsilon degree 0: not a graded map
+    (odd_degree_one_line(), [{1: Fraction(1)}],
+     "generator 0: image has a component in degree 0, not in degree 1"),
+    (abelian_line(), [], "generator 0: no image given"),
+    (abelian_line(), [{1: Fraction(1)}, {1: Fraction(1)}],
+     "image 1: there is no generator 1 (V has 1)"),
+    (abelian_line(), [{2: Fraction(1)}], "generator 0: image index 2 outside the target basis"),
+], ids=["wrong-degree", "missing", "extra", "outside-basis"])
+def test_generator_images_that_are_not_a_graded_map_are_named(v, images, issue):
+    env = envelope(v, 3)
+    assert validate_lie_map_into_algebra(env, dual_numbers(), images) == [issue]
+    with pytest.raises(StructuralError, match=re.escape(issue)):
+        extend_from_generators(env, dual_numbers(), images)
 
 
 # -- generator insertion against the recursive rewriter ---------------------------------

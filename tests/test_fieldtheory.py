@@ -134,7 +134,7 @@ def test_quantize_single_object_gives_weyl_truncation():
     cat = OrthCategory(["c"], {}, {})
     ft = FieldTheory(cat, "uLie", {"c": a}, {})
     qft = quantize(ft, 2)
-    env = qft.algebra("c")
+    env = qft.envelopes["c"]
     assert len(env.monomials()) == 6
     e1, e2 = env.generator(0), env.generator(1)
     assert env.commutator(e1, e2) == pbw_unit()
@@ -144,8 +144,8 @@ def test_quantize_block_theory_passes_causality():
     lft = block_theory()
     qft = quantize(lft, 3)
     assert qft.truncation == 3
-    assert qft.linear_action("f1") is lft.action["f1"]
-    assert qft.linear_algebra("c") is lft.algebra("c")
+    assert qft.action["f1"] is lft.action["f1"]
+    assert qft.envelopes["c"].source is lft.algebra("c")
     assert validate_functor(qft) == []
     assert check_causality(qft) == []
 
@@ -155,7 +155,7 @@ def test_quantize_abelian_theory_is_commutative():
                   {operads.BRACKET: {}, operads.ETA: {2: Fraction(1)}})
     cat = OrthCategory(["c"], {}, {})
     qft = quantize(FieldTheory(cat, "uLie", {"c": a}, {}), 3)
-    env = qft.algebra("c")
+    env = qft.envelopes["c"]
     for i in range(2):
         for j in range(2):
             assert env.commutator(env.generator(i), env.generator(j)) == {}
@@ -239,11 +239,11 @@ def per_order_monomial_violations(qft):
     n = qft.truncation
     out = []
     for f1, f2 in sorted(qft.base.orth):
-        env_c = qft.algebra(qft.base.target(f1))
-        words1 = qft.algebra(qft.base.source(f1)).monomials(n - 1)
-        images1 = qft.action[f1].apply_words(words1)
-        images2 = [(v, y) for v, y in qft.action[f2].apply_words(
-            qft.algebra(qft.base.source(f2)).monomials(n - 1)).items() if v]
+        env_c = qft.envelopes[qft.base.target(f1)]
+        words1 = qft.envelopes[qft.base.source(f1)].monomials(n - 1)
+        images1 = qft.envelope_maps[f1].apply_words(words1)
+        images2 = [(v, y) for v, y in qft.envelope_maps[f2].apply_words(
+            qft.envelopes[qft.base.source(f2)].monomials(n - 1)).items() if v]
         for u in words1[1:]:
             for v, y in images2:
                 if len(u) + len(v) > n:
@@ -263,7 +263,7 @@ def test_mirrored_causality_matches_per_order_check(n):
         found = [(v.pair, v.witness, v.discrepancy) for v in check_causality(qft)]
         assert found == per_order_monomial_violations(qft)
     # the sign (-1)^(|u||v|) is exercised: odd-odd witnesses fail on the mirrored pairs
-    env = qft.algebra("c")
+    env = qft.envelopes["c"]
     odd_pairs = {v.pair for v in check_causality(qft)
                  if env.word_degree(v.witness[0]) * env.word_degree(v.witness[1]) % 2}
     assert {("f1", "f2"), ("f2", "f1"), ("f1", "f3"), ("f3", "f1"), ("f3", "f3")} <= odd_pairs
@@ -294,7 +294,7 @@ def test_unit_of_adjunction_on_generators():
     qft = quantize(lft, 2)
     for obj in lft.base.objects:
         v = lft.algebra(obj)
-        env = qft.algebra(obj)
+        env = qft.envelopes[obj]
         for i_pos, i in enumerate(env.gens):
             for j_pos, j in enumerate(env.gens):
                 comm = env.commutator(env.generator(i_pos), env.generator(j_pos))
@@ -422,18 +422,38 @@ def test_wrong_composite_action_is_reported(n_max):
 
 
 def test_constructor_rejects_actions_of_the_other_kind():
+    # envelope maps are built by a quantized theory, never passed in
+    lft = rotation_theory()
+    envelope_map = quantize(lft, 2).envelope_maps["f"]
+    for kind, n_max in (("uLie", None), ("As", 2)):
+        with pytest.raises(StructuralError, match="action f: expected a chain map"):
+            FieldTheory(lft.base, kind, lft.assignment, {"f": envelope_map}, truncation=n_max)
+
+
+def test_constructor_rejects_algebras_that_are_not_dg_algebras():
+    lft = rotation_theory()
+    envelopes = quantize(lft, 2).envelopes
+    with pytest.raises(StructuralError, match="algebra on a: expected a dg algebra"):
+        FieldTheory(lft.base, "As", envelopes, lft.action, truncation=2)
+
+
+def test_quantized_construction_over_an_associative_algebra_is_refused():
+    cat = OrthCategory(["c"], {}, {})
+    with pytest.raises(StructuralError, match="envelope expects a unital Lie algebra"):
+        FieldTheory(cat, "As", {"c": matrix_algebra(2)}, {}, truncation=2)
+
+
+def test_quantized_theory_shares_its_linear_data():
     lft = rotation_theory()
     qft = quantize(lft, 2)
-    with pytest.raises(StructuralError, match="action f: expected an envelope map"):
-        FieldTheory(qft.base, "As", qft.assignment, {"f": lft.action["f"]}, truncation=2)
-    with pytest.raises(StructuralError, match="action f: expected a chain map"):
-        FieldTheory(lft.base, "uLie", lft.assignment, {"f": qft.action["f"]})
-
-
-def test_constructor_rejects_envelopes_at_another_truncation():
-    qft = quantize(rotation_theory(), 2)
-    with pytest.raises(StructuralError, match="expected an envelope at truncation 3"):
-        FieldTheory(qft.base, "As", qft.assignment, dict(qft.action), truncation=3)
+    for m in lft.base.morphisms:
+        assert qft.action[m] is lft.action[m]
+        assert qft.envelope_maps[m].rho is lft.action[m]
+    for obj in lft.base.objects:
+        assert qft.algebra(obj) is lft.algebra(obj)
+        assert qft.envelopes[obj].source is lft.algebra(obj)
+        assert qft.envelopes[obj].truncation == 2
+    assert lft.envelopes == {} and lft.envelope_maps == {}
 
 
 # -- pullbacks ------------------------------------------------------------------------
