@@ -4,11 +4,16 @@ Compactly supported de Rham complexes are modeled by relative simplicial
 cochains of a compact triangulated surface with boundary: degree -1 carries
 relative 2-cochains, degree 0 relative 1-cochains, degree +1 relative
 0-cochains, with differential the negated simplicial coboundary in both
-steps.  The presymplectic pairing is the cup product against the fundamental
-cycle, twisted by the degree signs (-1, +1, -1) and explicitly
-antisymmetrized (the simplicial cup product is not graded-commutative at
-cochain level; antisymmetrization preserves the chain-map property and the
-homology-level pairing).
+steps.  Each surface fixes its relative-cochain basis once
+(``TriangulatedSurface.cochains``: in degree n the relative (1 - n)-simplices
+as vertex tuples sorted by ``vertex_order``), and the complex, the pairing
+and extension by zero all read their matrix indices from it.
+
+The presymplectic pairing is the cup product against the fundamental cycle,
+twisted by the degree signs (-1, +1, -1) and explicitly antisymmetrized (the
+simplicial cup product is not graded-commutative at cochain level;
+antisymmetrization preserves the chain-map property and the homology-level
+pairing).
 
 Morphisms are injective simplicial orientation-preserving maps whose image
 satisfies the star condition, which is exactly what makes extension by zero
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .algebras import PresymplecticComplex, heisenberg, heisenberg_map
 from .complexes import ChainComplex, ChainMap
@@ -76,9 +81,12 @@ class TriangulatedSurface:
     def sort_simplex(self, simplex: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sorted(simplex, key=self._rank.__getitem__))
 
-    def triangle_sign(self, t: Triangle) -> int:
-        """+1 when the given orientation agrees with the sorted vertex order."""
-        return _perm_sign([self._rank[v] for v in t])
+    def simplex_sign(self, simplex: Sequence[int]) -> int:
+        """+1 when the given vertex order agrees with the sorted vertex order."""
+        return _perm_sign(self._ranks(simplex))
+
+    def _ranks(self, simplex: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(self._rank[v] for v in simplex)
 
     def _build(self) -> None:
         incident: Dict[FrozenSet[int], List[Triangle]] = {}
@@ -88,17 +96,21 @@ class TriangulatedSurface:
                 incident.setdefault(e, []).append(t)
         self.edge_triangles = incident
         self.edges: List[Edge] = sorted(
-            (self.sort_simplex(tuple(e)) for e in incident),
-            key=lambda e: (self._rank[e[0]], self._rank[e[1]]))
+            (self.sort_simplex(tuple(e)) for e in incident), key=self._ranks)
         self.boundary_edge_set: Set[FrozenSet[int]] = {
             e for e, ts in incident.items() if len(ts) == 1}
         self.boundary_vertices: Set[int] = {v for e in self.boundary_edge_set for v in e}
-        self.sorted_triangles: List[Triangle] = sorted(
-            (self.sort_simplex(t) for t in self.triangles),
-            key=lambda t: tuple(self._rank[v] for v in t))
-        self.orientation: Dict[Triangle, int] = {}
-        for t in self.triangles:
-            self.orientation[self.sort_simplex(t)] = self.triangle_sign(t)
+        self.orientation: Dict[Triangle, int] = {
+            self.sort_simplex(t): self.simplex_sign(t) for t in self.triangles}
+        # the relative cochain basis: degree n holds the relative (1 - n)-simplices
+        self.cochains: Dict[int, List[Tuple[int, ...]]] = {
+            -1: sorted(self.orientation, key=self._ranks),
+            0: [e for e in self.edges if frozenset(e) not in self.boundary_edge_set],
+            1: [(v,) for v in self.vertex_order if v not in self.boundary_vertices],
+        }
+        self.cochain_index: Dict[int, Dict[Tuple[int, ...], int]] = {
+            n: {simplex: i for i, simplex in enumerate(basis)}
+            for n, basis in self.cochains.items()}
 
     def _validate(self) -> None:
         for e, ts in self.edge_triangles.items():
@@ -165,52 +177,25 @@ class TriangulatedSurface:
             if seen != set(link):
                 raise StructuralError(f"link of vertex {v} is disconnected")
 
-    # -- relative cochain bases ---------------------------------------------------
-    def relative_vertices(self) -> List[int]:
-        return [v for v in self.vertex_order if v not in self.boundary_vertices]
-
-    def relative_edges(self) -> List[Edge]:
-        return [e for e in self.edges if frozenset(e) not in self.boundary_edge_set]
-
-    def all_triangles_sorted(self) -> List[Triangle]:
-        return list(self.sorted_triangles)
-
 
 def cs_complex(m: TriangulatedSurface) -> ChainComplex:
     """Relative cochains as a chain complex in degrees -1, 0, 1.
 
     Degree -1 holds relative 2-cochains, degree 0 relative 1-cochains,
     degree +1 relative 0-cochains; both differentials are the negated
-    coboundary.
+    coboundary, so the face of a simplex without its vertex i gets -(-1)^i.
     """
-    verts = m.relative_vertices()
-    edges = m.relative_edges()
-    tris = m.all_triangles_sorted()
-    vidx = {v: i for i, v in enumerate(verts)}
-    eidx = {e: i for i, e in enumerate(edges)}
-    tidx = {t: i for i, t in enumerate(tris)}
-    # d_1 = -delta^0 : C^0(K, bd) -> C^1(K, bd)
-    d1_entries = {}
-    for e, row in eidx.items():
-        a, b = e
-        if a in vidx:
-            d1_entries[(row, vidx[a])] = Fraction(1)   # -(-f(a))
-        if b in vidx:
-            d1_entries[(row, vidx[b])] = Fraction(-1)  # -(+f(b))
-    # d_0 = -delta^1 : C^1(K, bd) -> C^2(K, bd)
-    d0_entries = {}
-    for t, row in tidx.items():
-        a, b, c = t
-        for face, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-            col = eidx.get(face)
-            if col is not None:
-                d0_entries[(row, col)] = Fraction(-sign)
-    dims = {-1: len(tris), 0: len(edges), 1: len(verts)}
+    dims = {n: len(basis) for n, basis in m.cochains.items()}
     diffs = {}
-    if dims[0] and dims[-1]:
-        diffs[0] = RationalMatrix(dims[-1], dims[0], d0_entries)
-    if dims[1] and dims[0]:
-        diffs[1] = RationalMatrix(dims[0], dims[1], d1_entries)
+    for n in (0, 1):
+        faces = m.cochain_index[n]
+        entries = {}
+        for row, simplex in enumerate(m.cochains[n - 1]):
+            for i in range(len(simplex)):
+                col = faces.get(simplex[:i] + simplex[i + 1:])
+                if col is not None:
+                    entries[(row, col)] = Fraction(1 if i % 2 else -1)
+        diffs[n] = RationalMatrix(dims[n - 1], dims[n], entries)
     return ChainComplex(dims, diffs)
 
 
@@ -226,49 +211,21 @@ def pairing(m: TriangulatedSurface) -> PresymplecticComplex:
     antisymmetric on the nose.
     """
     carrier = cs_complex(m)
-    verts = m.relative_vertices()
-    edges = m.relative_edges()
-    tris = m.all_triangles_sorted()
-    # flattened basis: degree -1 block (triangles), degree 0 (edges), degree +1 (vertices)
-    t_off = 0
-    e_off = len(tris)
-    v_off = len(tris) + len(edges)
-    vidx = {v: v_off + i for i, v in enumerate(verts)}
-    eidx = {e: e_off + i for i, e in enumerate(edges)}
-    tidx = {t: t_off + i for i, t in enumerate(tris)}
-
-    cup: Dict[Tuple[int, int], Fraction] = {}
-    for t in tris:
-        a, b, c = t
-        w = Fraction(m.orientation[t])
-        terms = []
-        # 1-cochain cup 1-cochain: front edge (a,b), back edge (b,c)
-        i = eidx.get((a, b))
-        j = eidx.get((b, c))
-        if i is not None and j is not None:
-            terms.append(((i, j), w))
-        # 0-cochain cup 2-cochain: front vertex a
-        if a in vidx:
-            terms.append(((vidx[a], tidx[t]), w))
-        # 2-cochain cup 0-cochain: back vertex c
-        if c in vidx:
-            terms.append(((tidx[t], vidx[c]), w))
-        _add_into(cup, terms)
-
-    basis_degree = {}
-    for t, i in tidx.items():
-        basis_degree[i] = -1
-    for e, i in eidx.items():
-        basis_degree[i] = 0
-    for v, i in vidx.items():
-        basis_degree[i] = 1
-
+    offset = {-1: 0, 0: carrier.dim(-1), 1: carrier.dim(-1) + carrier.dim(0)}
     omega: Dict[Tuple[int, int], Fraction] = {}
-    for (i, j), value in cup.items():
-        di, dj = basis_degree[i], basis_degree[j]
-        term = _HALF * _ELL_SIGN[dj] * value
-        koszul = -1 if (di * dj) % 2 else 1
-        _add_into(omega, (((i, j), term), ((j, i), -koszul * term)))
+    for t in m.cochains[-1]:
+        w = _HALF * m.orientation[t]
+        # front p-face (degree 1 - p) cup back (2 - p)-face (degree p - 1)
+        for p in (1, 0, 2):
+            dx, dy = 1 - p, p - 1
+            i = m.cochain_index[dx].get(t[:p + 1])
+            j = m.cochain_index[dy].get(t[p:])
+            if i is None or j is None:
+                continue
+            i, j = offset[dx] + i, offset[dy] + j
+            term = _ELL_SIGN[dy] * w
+            koszul = -1 if (dx * dy) % 2 else 1
+            _add_into(omega, (((i, j), term), ((j, i), -koszul * term)))
     return PresymplecticComplex(carrier, omega)
 
 
@@ -307,7 +264,7 @@ class SurfaceMorphism:
                 raise StructuralError(f"triangle {t} does not map to a target triangle")
             # orientation-preserving: the mapped oriented triple must agree
             # with the target triangle's orientation class
-            if _perm_sign([tgt._rank[v] for v in image]) != tgt.orientation[sorted_image]:
+            if tgt.simplex_sign(image) != tgt.orientation[sorted_image]:
                 raise StructuralError(f"orientation not preserved on triangle {t}")
             image_tris.add(sorted_image)
         image_edges = {frozenset(self.apply(e)) for e in self.source.edges}
@@ -320,7 +277,6 @@ class SurfaceMorphism:
                 s_edge_count[e] = s_edge_count.get(e, 0) + 1
         s_boundary_edges = {e for e, cnt in s_edge_count.items() if cnt == 1}
         s_boundary_vertices = {v for e in s_boundary_edges for v in e}
-        interior_tris = image_tris
         interior_edges = image_edges - s_boundary_edges
         interior_vertices = image_vertices - s_boundary_vertices
         # star condition on target triangles and edges
@@ -372,42 +328,18 @@ def extension_by_zero(f: SurfaceMorphism) -> ChainMap:
     """
     src_c = cs_complex(f.source)
     tgt_c = cs_complex(f.target)
-    src, tgt = f.source, f.target
-
-    def build(block_src: list, block_tgt_index: Mapping, sign_of) -> dict:
+    tgt = f.target
+    comps = {}
+    for n, basis in f.source.cochains.items():
         entries = {}
-        for col, simplex in enumerate(block_src):
-            image = f.apply(simplex if isinstance(simplex, tuple) else (simplex,))
-            key = tgt.sort_simplex(image)
-            if len(key) == 1:
-                key = key[0]
-            row = block_tgt_index.get(key)
+        for col, simplex in enumerate(basis):
+            image = f.apply(simplex)
+            row = tgt.cochain_index[n].get(tgt.sort_simplex(image))
             if row is None:
                 raise AssertionError(
-                    f"image simplex {key} of relative simplex {simplex} is not relative "
-                    f"in the target")
-            entries[(row, col)] = Fraction(sign_of(image))
-        return entries
-
-    tgt_tris = {t: i for i, t in enumerate(tgt.all_triangles_sorted())}
-    tgt_edges = {e: i for i, e in enumerate(tgt.relative_edges())}
-    tgt_verts = {v: i for i, v in enumerate(tgt.relative_vertices())}
-    comps = {}
-    src_tris = src.all_triangles_sorted()
-    if src_tris:
-        comps[-1] = RationalMatrix(
-            len(tgt_tris), len(src_tris),
-            build(src_tris, tgt_tris, lambda im: _perm_sign([tgt._rank[v] for v in im])))
-    src_edges = src.relative_edges()
-    if src_edges:
-        comps[0] = RationalMatrix(
-            len(tgt_edges), len(src_edges),
-            build(src_edges, tgt_edges, lambda im: _perm_sign([tgt._rank[v] for v in im])))
-    src_verts = src.relative_vertices()
-    if src_verts:
-        comps[1] = RationalMatrix(
-            len(tgt_verts), len(src_verts),
-            build([(v,) for v in src_verts], tgt_verts, lambda im: 1))
+                    f"image {image} of relative simplex {simplex} is not relative in the target")
+            entries[(row, col)] = Fraction(tgt.simplex_sign(image))
+        comps[n] = RationalMatrix(tgt_c.dim(n), len(basis), entries)
     return ChainMap(src_c, tgt_c, comps)
 
 

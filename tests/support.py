@@ -500,3 +500,131 @@ def _random_differential(rng: Random, dims):
             nd = pinvs[n - 1] @ d @ ps[n]
             out[n] = nd
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference Chern-Simons matrices: the relative-cochain bases recomputed from
+# the raw surface data, and the coboundary, cup and extension formulas
+# written out block by block, one per degree
+# ---------------------------------------------------------------------------
+
+def _sort_sign(ranks) -> int:
+    """Parity of the permutation sorting distinct ``ranks``."""
+    ranks = list(ranks)
+    inversions = sum(1 for i in range(len(ranks)) for j in range(i + 1, len(ranks))
+                     if ranks[i] > ranks[j])
+    return -1 if inversions % 2 else 1
+
+
+def reference_cochain_bases(s):
+    """``(triangles, edges, vertices)``: all triangles, the edges with two
+    incident triangles and the vertices on no one-triangle edge, simplices as
+    vertex tuples sorted by ``s.vertex_order`` and listed in that order."""
+    rank = {v: i for i, v in enumerate(s.vertex_order)}
+
+    def ordered(simplex):
+        return tuple(sorted(simplex, key=rank.__getitem__))
+
+    def by_rank(simplex):
+        return tuple(rank[v] for v in simplex)
+
+    incidence = {}
+    for t in s.triangles:
+        for k in range(3):
+            e = ordered((t[k], t[(k + 1) % 3]))
+            incidence[e] = incidence.get(e, 0) + 1
+    boundary = {v for e, count in incidence.items() if count == 1 for v in e}
+    tris = sorted((ordered(t) for t in s.triangles), key=by_rank)
+    edges = sorted((e for e, count in incidence.items() if count == 2), key=by_rank)
+    verts = [v for v in s.vertex_order if v not in boundary]
+    return tris, edges, verts
+
+
+def reference_cs_diffs(s) -> dict:
+    """Both differentials of the relative-cochain complex as the negated
+    coboundary, written out: d_1 on vertices, d_0 on edges."""
+    tris, edges, verts = reference_cochain_bases(s)
+    vidx = {v: i for i, v in enumerate(verts)}
+    eidx = {e: i for i, e in enumerate(edges)}
+    d1 = {}
+    for row, (a, b) in enumerate(edges):
+        if a in vidx:
+            d1[(row, vidx[a])] = Fraction(1)
+        if b in vidx:
+            d1[(row, vidx[b])] = Fraction(-1)
+    d0 = {}
+    for row, (a, b, c) in enumerate(tris):
+        for face, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
+            col = eidx.get(face)
+            if col is not None:
+                d0[(row, col)] = Fraction(-sign)
+    return {0: RationalMatrix(len(tris), len(edges), d0),
+            1: RationalMatrix(len(edges), len(verts), d1)}
+
+
+def reference_cs_omega(s) -> dict:
+    """The antisymmetrized cup pairing on the flattened basis (triangles,
+    then edges, then vertices), with per-degree index maps."""
+    tris, edges, verts = reference_cochain_bases(s)
+    rank = {v: i for i, v in enumerate(s.vertex_order)}
+    orientation = {tuple(sorted(t, key=rank.__getitem__)): _sort_sign(rank[v] for v in t)
+                   for t in s.triangles}
+    tidx = {t: i for i, t in enumerate(tris)}
+    eidx = {e: len(tris) + i for i, e in enumerate(edges)}
+    vidx = {v: len(tris) + len(edges) + i for i, v in enumerate(verts)}
+    degree = {**{i: -1 for i in tidx.values()}, **{i: 0 for i in eidx.values()},
+              **{i: 1 for i in vidx.values()}}
+    cup = {}
+
+    def add(key, value):
+        cup[key] = cup.get(key, 0) + value
+
+    for t in tris:
+        a, b, c = t
+        w = Fraction(orientation[t])
+        if (a, b) in eidx and (b, c) in eidx:    # front edge cup back edge
+            add((eidx[(a, b)], eidx[(b, c)]), w)
+        if a in vidx:                            # front vertex cup triangle
+            add((vidx[a], tidx[t]), w)
+        if c in vidx:                            # triangle cup back vertex
+            add((tidx[t], vidx[c]), w)
+    ell = {-1: -1, 0: 1, 1: -1}
+    omega = {}
+    for (i, j), value in cup.items():
+        term = Fraction(1, 2) * ell[degree[j]] * value
+        koszul = -1 if (degree[i] * degree[j]) % 2 else 1
+        omega[(i, j)] = omega.get((i, j), 0) + term
+        omega[(j, i)] = omega.get((j, i), 0) - koszul * term
+    return {k: v for k, v in omega.items() if v}
+
+
+def reference_extension_components(f) -> dict:
+    """Extension by zero along ``f``, one block per degree: each relative
+    source simplex goes to its image, with the sign of the permutation that
+    sorts the image in the target's vertex order."""
+    src, tgt = f.source, f.target
+    src_tris, src_edges, src_verts = reference_cochain_bases(src)
+    tgt_tris, tgt_edges, tgt_verts = reference_cochain_bases(tgt)
+    rank = {v: i for i, v in enumerate(tgt.vertex_order)}
+
+    def image(simplex):
+        mapped = [f.vertex_map[v] for v in simplex]
+        return tuple(sorted(mapped, key=rank.__getitem__)), _sort_sign(rank[v] for v in mapped)
+
+    tidx = {t: i for i, t in enumerate(tgt_tris)}
+    eidx = {e: i for i, e in enumerate(tgt_edges)}
+    vidx = {v: i for i, v in enumerate(tgt_verts)}
+    tri_block = {}
+    for col, t in enumerate(src_tris):
+        key, sign = image(t)
+        tri_block[(tidx[key], col)] = Fraction(sign)
+    edge_block = {}
+    for col, e in enumerate(src_edges):
+        key, sign = image(e)
+        edge_block[(eidx[key], col)] = Fraction(sign)
+    vertex_block = {}
+    for col, v in enumerate(src_verts):
+        vertex_block[(vidx[f.vertex_map[v]], col)] = Fraction(1)
+    return {-1: RationalMatrix(len(tgt_tris), len(src_tris), tri_block),
+            0: RationalMatrix(len(tgt_edges), len(src_edges), edge_block),
+            1: RationalMatrix(len(tgt_verts), len(src_verts), vertex_block)}

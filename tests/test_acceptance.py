@@ -250,8 +250,8 @@ def test_criterion_10_quantized_chern_simons_relations():
     env = ccr(p, 2)
     embed = heisenberg_embedding(p, env.source)
 
-    tris = t.all_triangles_sorted()
-    edges = t.relative_edges()
+    tris = t.cochains[-1]
+    edges = t.cochains[0]
     tidx = {tri: i for i, tri in enumerate(tris)}
     eidx = {e: i for i, e in enumerate(edges)}
 

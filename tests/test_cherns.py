@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,7 +19,12 @@ from opfield.errors import StructuralError
 from opfield.exact import RationalMatrix, rank
 from opfield.fieldtheory import (check_causality, check_w_constancy, quantize,
                                  validate_functor)
-from support import reference_solve_many
+from opfield.jsonio import surface_from_json
+from support import (reference_cs_diffs, reference_cs_omega,
+                     reference_extension_components, reference_solve_many)
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
+SHIPPED = ("annulus2", "annulus3", "disk1", "tetra_sphere", "torus9")
 
 
 # -- surface validation ------------------------------------------------------------
@@ -83,6 +90,44 @@ def test_cs_complexes_are_complexes():
         assert validate_complex(cs_complex(s)) == []
 
 
+def _reordered(s, rng):
+    order = list(range(s.n_vertices))
+    rng.shuffle(order)
+    return TriangulatedSurface(s.n_vertices, s.triangles,
+                               [tuple(e) for e in s.boundary_edge_set], order)
+
+
+def _at_four_orders(s, seed):
+    """``s`` at its own vertex order and at three seeded random orders."""
+    rng = Random(seed)
+    return [s] + [_reordered(s, rng) for _ in range(3)]
+
+
+def _nonzero(blocks):
+    return {n: m for n, m in blocks.items() if not m.is_zero()}
+
+
+def test_cs_matrices_match_reference_formulas():
+    surfaces = [surface_from_json(json.loads((DATA / f"{name}.json").read_text()))
+                for name in SHIPPED]
+    surfaces += [octahedron_sphere(), band_annulus(4)]
+    for seed, s in enumerate(surfaces):
+        for m in _at_four_orders(s, seed):
+            assert cs_complex(m).diffs == _nonzero(reference_cs_diffs(m)), m.vertex_order
+            assert pairing(m).omega == reference_cs_omega(m), m.vertex_order
+
+
+def test_extension_by_zero_matches_reference_formulas():
+    collar = collar_inclusion()
+    morphisms = [(collar.source, collar.target, collar.vertex_map),
+                 (one_triangle_disk(), octahedron_sphere(), (0, 1, 2))]
+    for seed, (src, tgt, vertex_map) in enumerate(morphisms):
+        for s, t in zip(_at_four_orders(src, 10 + seed), _at_four_orders(tgt, 20 + seed)):
+            f = SurfaceMorphism(s, t, vertex_map)
+            expected = _nonzero(reference_extension_components(f))
+            assert extension_by_zero(f).components == expected, (s.vertex_order, t.vertex_order)
+
+
 # -- the pairing -----------------------------------------------------------------------
 
 def test_pairing_is_presymplectic_everywhere():
@@ -94,8 +139,8 @@ def test_pairing_is_presymplectic_everywhere():
 def test_disjoint_supports_pair_to_zero():
     s = octahedron_sphere()
     p = pairing(s)
-    edges = s.relative_edges()
-    off = len(s.all_triangles_sorted())
+    edges = s.cochains[0]
+    off = len(s.cochains[-1])
     eidx = {e: off + i for i, e in enumerate(edges)}
     # (0,1) touches only the top; (3,5) only the bottom
     assert p.pair({eidx[(0, 1)]: Fraction(1)}, {eidx[(3, 5)]: Fraction(1)}) == 0
@@ -104,8 +149,8 @@ def test_disjoint_supports_pair_to_zero():
 def _torus_cocycles(p):
     """The two hand-built 1-cocycles dual to the fundamental cycles."""
     t = grid_torus()
-    edges = t.relative_edges()
-    off = len(t.all_triangles_sorted())
+    edges = t.cochains[0]
+    off = len(t.cochains[-1])
     eidx = {e: off + i for i, e in enumerate(edges)}
 
     def cochain(spec):
@@ -253,8 +298,8 @@ def test_generator_blocks_and_degrees():
 def test_differential_relations_on_generators():
     t = grid_torus()
     env = _torus_env()
-    tris = t.all_triangles_sorted()
-    edges = t.relative_edges()
+    tris = t.cochains[-1]
+    edges = t.cochains[0]
     tidx = {tri: i for i, tri in enumerate(tris)}
     eidx = {e: i for i, e in enumerate(edges)}
     # d C = 0
@@ -296,7 +341,7 @@ def test_curvature_ghost_commutator_matches_cup_formula():
     t = grid_torus()
     p = pairing(t)
     env = ccr(p, 2)
-    tris = t.all_triangles_sorted()
+    tris = t.cochains[-1]
     tri0 = tris[0]
     v_first, v_last = tri0[0], tri0[2]
     sign = Fraction(t.orientation[tri0])

@@ -428,6 +428,23 @@ def test_planted_causality_violation_exits_one(tmp_path, capsys):
     assert out["violations"]
 
 
+def test_causality_on_a_bracket_that_is_not_antisymmetric(tmp_path, capsys):
+    # [x0, x2] = 1 without the partner [x2, x0] = -1: validate does not check
+    # antisymmetry, so each order of the orthogonal pair is contracted on its
+    # own and only (f1, f2) fails; reading (f2, f1) as the graded transpose of
+    # (f1, f2) would report a violation there too
+    doc = json.loads((DATA / "toy3_theory.json").read_text())
+    doc["algebras"]["c"]["bracket"].append([0, 2, 4, "1"])
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check-causality", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"causality": "violated", "violations": [
+        "orthogonal pair ('f1', 'f2') fails on basis pair (0, 0): 4: 1"]}
+
+
 def with_zero_entries(adoc):
     """An algebra document with explicit "0" rows in every structure map: one
     on each input tuple that has entries, at an output it does not reach yet,
