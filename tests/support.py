@@ -114,6 +114,28 @@ def sl2_with_unit() -> DgAlgebra:
                      {operads.BRACKET: bracket, operads.ETA: {one: Fraction(1)}})
 
 
+def jacobi_failing_theory_doc() -> dict:
+    """A uLie theory document f1: c1 -> c <- c2: f2, (f1, f2) orthogonal, whose
+    target c = span(x0, x1, x2, 1) has [x0, x1] = -x1, [x0, x2] = -x0 and
+    [x1, x2] = x0 (antisymmetric, unit central).  f1 sends its generator to
+    x0 + x1 and f2 to x2, so the images commute, but Jacobi fails on
+    (x0, x1, x2) and the envelope of c is not associative: the images of
+    longer monomials do not commute."""
+    line = {"bracket": [], "carrier": {"d": {}, "dims": {"0": 2}}, "kind": "uLie",
+            "unit": [[1, "1"]]}
+    bracket = [[0, 1, 1, "-1"], [1, 0, 1, "1"], [0, 2, 0, "-1"], [2, 0, 0, "1"],
+               [1, 2, 0, "1"], [2, 1, 0, "-1"]]
+    return {"kind": "uLie", "objects": ["c", "c1", "c2"],
+            "morphisms": [{"name": "f1", "src": "c1", "tgt": "c"},
+                          {"name": "f2", "src": "c2", "tgt": "c"}],
+            "compose": [], "orth": [["f1", "f2"]],
+            "algebras": {"c": {"bracket": bracket, "carrier": {"d": {}, "dims": {"0": 4}},
+                               "kind": "uLie", "unit": [[3, "1"]]},
+                         "c1": line, "c2": line},
+            "actions": {"f1": {"0": [[0, 0, "1"], [1, 0, "1"], [3, 1, "1"]]},
+                        "f2": {"0": [[2, 0, "1"], [3, 1, "1"]]}}}
+
+
 AS_CATALOG = [
     lambda: matrix_algebra(2),
     dual_numbers,

@@ -9,7 +9,7 @@ from opfield import algebras, complexes, exact, jsonio
 from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.cli import main
 from opfield.envelope import TruncatedEnvelope, ccr, filtration_dim
-from support import matrix_algebra, sl2_with_unit
+from support import jacobi_failing_theory_doc, matrix_algebra, sl2_with_unit
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
@@ -443,6 +443,23 @@ def test_causality_on_a_bracket_that_is_not_antisymmetric(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == {"causality": "violated", "violations": [
         "orthogonal pair ('f1', 'f2') fails on basis pair (0, 0): 4: 1"]}
+
+
+def test_quantize_on_a_target_that_fails_jacobi(tmp_path, capsys):
+    # the generator images commute, so the linear check passes; the target
+    # fails Jacobi, so quantized causality is checked on every monomial pair
+    # and fails from n = 3 on
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps(jacobi_failing_theory_doc()))
+    assert main(["quantize", str(path), "--n", "2"]) == 0
+    assert capsys.readouterr().out == jsonio.dumps(
+        {"causality": "ok", "stage_dims": {"c": {"0": 10}, "c1": {"0": 3}, "c2": {"0": 3}},
+         "truncation": 2})
+    assert main(["quantize", str(path), "--n", "3"]) == 3
+    assert capsys.readouterr().out == jsonio.dumps({"internal_error": (
+        "quantization broke causality: orthogonal pair ('f1', 'f2') fails on basis pair "
+        "((0, 0), (0,)): (0,): 1, (1,): 1; orthogonal pair ('f2', 'f1') fails on basis pair "
+        "((0,), (0, 0)): (0,): -1, (1,): -1")})
 
 
 def with_zero_entries(adoc):

@@ -1,19 +1,26 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from opfield import operads
 from opfield.algebras import DgAlgebra, PresymplecticComplex, heisenberg, heisenberg_map
+from opfield.cherns import (SurfaceDiagram, SurfaceMorphism, build_bcs, octahedron_sphere,
+                            one_triangle_disk)
 from opfield.complexes import ChainComplex, ChainMap
-from opfield.envelope import pbw_unit
+from opfield.envelope import TruncatedEnvelope, pbw_unit
 from opfield.errors import StructuralError
 from opfield.exact import RationalMatrix
-from opfield.fieldtheory import (FieldTheory, OrthCategory, OrthFunctor,
-                                 _constancy_defect, check_causality, check_w_constancy,
+from opfield.fieldtheory import (FieldTheory, OrthCategory, OrthFunctor, _constancy_defect,
+                                 _monomial_violations, check_causality, check_w_constancy,
                                  dequantize, orth_closure, pullback_theory,
                                  quantize, validate_functor)
+from opfield.jsonio import theory_from_json
 
-from support import matrix_algebra, truncated_polynomial
+from support import jacobi_failing_theory_doc, matrix_algebra, truncated_polynomial
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "opfield" / "data"
 
 
 def plane(omega=1):
@@ -254,19 +261,69 @@ def per_order_monomial_violations(qft):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def toy3_theory():
+    return theory_from_json(json.loads((DATA / "toy3_theory.json").read_text()))
+
+
+def two_disks_theory():
+    """Chern-Simons theory of two disjoint triangles in the octahedron."""
+    disk, octa = one_triangle_disk(), octahedron_sphere()
+    return build_bcs(SurfaceDiagram(
+        {"disk": disk, "sphere": octa},
+        {"f1": ("disk", "sphere", SurfaceMorphism(disk, octa, [0, 1, 2])),
+         "f2": ("disk", "sphere", SurfaceMorphism(disk, octa, [5, 4, 3]))}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mirrored_causality_matches_per_order_check(n):
+    # every target satisfies the uLie relations, so a pair is settled by its
+    # generator images unless they fail to commute, as in the crossed
+    # theories from n = 2 on; at n = 1 no monomial pair fits
     odd = odd_crossed_theory()
     assert validate_functor(odd) == []
-    for lft in (crossed_theory(), odd):
+    for lft in (crossed_theory(), toy3_theory(), two_disks_theory(), odd):
+        assert all(operads.check_relations(a.presentation, a) == [] for a in lft.assignment.values())
         qft = quantize(lft, n, check=False)
         found = [(v.pair, v.witness, v.discrepancy) for v in check_causality(qft)]
         assert found == per_order_monomial_violations(qft)
+        assert found == [] or n > 1
+    if n == 1:
+        return
     # the sign (-1)^(|u||v|) is exercised: odd-odd witnesses fail on the mirrored pairs
     env = qft.envelopes["c"]
     odd_pairs = {v.pair for v in check_causality(qft)
                  if env.word_degree(v.witness[0]) * env.word_degree(v.witness[1]) % 2}
     assert {("f1", "f2"), ("f2", "f1"), ("f1", "f3"), ("f3", "f1"), ("f3", "f3")} <= odd_pairs
+
+
+def test_causality_falls_back_to_the_exhaustive_check_when_jacobi_fails():
+    lft = theory_from_json(jacobi_failing_theory_doc())
+    a_c = lft.algebra("c")
+    assert {v.relation for v in operads.check_relations(a_c.presentation, a_c)} == {"Jacobi"}
+    assert check_causality(lft) == []
+    for n in (1, 2, 3, 4):
+        qft = quantize(lft, n, check=False)
+        assert _monomial_violations(qft, "f1", "f2", min(2, n)) == ([], [])
+        found = [(v.pair, v.witness, v.discrepancy) for v in check_causality(qft)]
+        assert found == per_order_monomial_violations(qft)
+        assert bool(found) == (n >= 3)
+
+
+def test_quantized_toy3_computes_only_generator_commutators(monkeypatch):
+    calls = []
+    commutator = TruncatedEnvelope.commutator
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return commutator(self, x, y)
+
+    monkeypatch.setattr(TruncatedEnvelope, "commutator", counted)
+    qft = quantize(toy3_theory(), 13)
+    generator_pairs = sum(len(qft.envelopes[qft.base.source(f1)].gens)
+                          * len(qft.envelopes[qft.base.source(f2)].gens)
+                          for f1, f2 in qft.base.orth if f1 <= f2)
+    assert generator_pairs == 4
+    assert 0 < len(calls) <= generator_pairs
 
 
 # -- dequantization ------------------------------------------------------------------
