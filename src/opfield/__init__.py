@@ -1,8 +1,8 @@
 """Exact-rational computer algebra for operadic field theories.
 
 Subpackages cover sparse rational linear algebra (:mod:`opfield.exact`),
-chain complexes (:mod:`opfield.complexes`), presented operads and evaluation
-(:mod:`opfield.operads`), structure-constant dg algebras
+chain complexes (:mod:`opfield.complexes`), presented operads and their
+structure tensors (:mod:`opfield.operads`), structure-constant dg algebras
 (:mod:`opfield.algebras`), truncated enveloping / CCR algebras
 (:mod:`opfield.envelope`), field theories on finite orthogonal categories
 (:mod:`opfield.fieldtheory`) and combinatorial Chern-Simons theory on

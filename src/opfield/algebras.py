@@ -127,27 +127,6 @@ class DgAlgebra:
                     tensor[key] = cell
             self.structure[gen.name] = tensor.get((), {}) if gen.arity == 0 else tensor
 
-    # -- element protocol used by operads.evaluate ---------------------------
-    def zero_element(self) -> Element:
-        return {}
-
-    def add(self, x: Element, y: Element) -> Element:
-        return element_add(x, y)
-
-    def scale(self, c, x: Element) -> Element:
-        return element_scale(c, x)
-
-    def element_degree(self, x: Element) -> Optional[int]:
-        degs = {self.basis.degree_of(i) for i in x}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise StructuralError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def basis_elements(self) -> List[Element]:
-        return [{i: _ONE} for i in range(self.basis.total)]
-
     def tensor(self, name: str) -> Tensor:
         """A generator's structure tensor; the arity-0 one is keyed by ``()``."""
         t = self.structure[name]

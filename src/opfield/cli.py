@@ -4,7 +4,7 @@ Every command prints one canonical JSON document (sorted keys, canonical
 rationals) to standard output, so identical inputs produce byte-identical
 reports.  Exit codes: 0 all checks pass, 1 check violations (witnesses in
 the report), 2 parse/structural input errors (with location), 3 internal
-assertion failures.
+errors.
 """
 
 from __future__ import annotations
@@ -39,11 +39,15 @@ def _load(path: str) -> dict:
 
 
 def _emit(doc: dict, out: Optional[str] = None) -> None:
+    """Write the report to ``out`` first, so a failed write prints only its error."""
     text = jsonio.dumps(doc)
-    sys.stdout.write(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructuralError(f"{out}: cannot write the report: {exc.strerror}")
+    sys.stdout.write(text)
 
 
 def pbw_str(elem) -> str:
@@ -307,6 +311,9 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         sys.stdout.write(jsonio.dumps({"internal_error": str(exc)}))
+        return 3
+    except Exception as exc:
+        sys.stdout.write(jsonio.dumps({"internal_error": f"{type(exc).__name__}: {exc}"}))
         return 3
 
 

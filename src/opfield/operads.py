@@ -1,4 +1,4 @@
-"""Free-operad trees, presentations, and evaluation into concrete algebras.
+"""Free-operad trees, presentations, and their structure tensors in concrete algebras.
 
 Operations of a presented operad are represented by rooted trees over a
 generator alphabet.  Input slots carry explicit position labels (a
@@ -10,9 +10,10 @@ contracting the generators' tensors along the tree, and comparing the two
 sides' tensors: the nonzero entries of the difference are the basis tuples
 on which the relation fails.  No basis tuple is ever enumerated.
 
-Evaluation is graded: reading the inputs in the tree's planar label order
-incurs the Koszul sign of the corresponding permutation on homogeneous
-inputs.  Generators are of degree 0, so they add no signs.
+Structure tensors are graded: a tree's tensor is keyed by basis tuples in
+label order, and reading them in the tree's planar label order incurs the
+Koszul sign of that permutation on the basis vectors' degrees.  Generators
+are of degree 0, so they add no signs.
 """
 
 from __future__ import annotations
@@ -265,9 +266,9 @@ def graft(outer: OperadTree, inners: Sequence[OperadTree]) -> OperadTree:
 def permute(t: OperadTree, sigma: Sequence[int]) -> OperadTree:
     """Right permutation action: the leaf labeled l is relabeled sigma(l).
 
-    Convention: evaluate(permute(t, sigma), a, xs) equals, up to Koszul sign,
-    evaluate(t, a, [xs[sigma(l)-1] for l]); composing actions satisfies
-    permute(permute(t, s), u) == permute(t, perm_compose(s, u)).
+    Convention: tree_tensor(permute(t, sigma), a)[combo] equals, up to Koszul
+    sign, tree_tensor(t, a)[tuple(combo[sigma(l)-1] for l)]; composing actions
+    satisfies permute(permute(t, s), u) == permute(t, perm_compose(s, u)).
     """
     n = t.arity
     if sorted(sigma) != list(range(1, n + 1)):
@@ -292,46 +293,6 @@ def koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
             if order[a] > order[b]:
                 parity += degrees[order[a] - 1] * degrees[order[b] - 1]
     return -1 if parity % 2 else 1
-
-
-def evaluate_tree(t: OperadTree, algebra, inputs: Sequence) -> "object":
-    """Evaluate a tree on homogeneous algebra elements, with Koszul signs.
-
-    ``algebra`` must provide ``apply_generator(name, args)``, ``element_degree``,
-    ``scale`` and ``zero_element`` (see :class:`opfield.algebras.DgAlgebra`).
-    """
-    if t.arity != len(inputs):
-        raise StructuralError(f"tree arity {t.arity} != number of inputs {len(inputs)}")
-    order = t.planar_labels()
-    degrees = []
-    for x in inputs:
-        d = algebra.element_degree(x)
-        degrees.append(0 if d is None else d)
-    sign = koszul_sign(order, degrees)
-    queue = [inputs[l - 1] for l in order]
-    pos = 0
-
-    def walk(s: OperadTree):
-        nonlocal pos
-        if s.kind == "leaf":
-            x = queue[pos]
-            pos += 1
-            return x
-        args = [walk(ch) for ch in s.children]
-        return algebra.apply_generator(s.gen, args)
-
-    value = walk(t)
-    return value if sign == 1 else algebra.scale(sign, value)
-
-
-def evaluate(expr, algebra, inputs: Sequence):
-    """Evaluate a tree or a linear combination of trees."""
-    if isinstance(expr, OperadTree):
-        return evaluate_tree(expr, algebra, inputs)
-    acc = algebra.zero_element()
-    for t, c in expr.terms.items():
-        acc = algebra.add(acc, algebra.scale(c, evaluate_tree(t, algebra, inputs)))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -395,7 +356,10 @@ def _sum_cells(terms: Iterable[Tuple[Tuple[int, ...], Mapping[int, Fraction], Fr
     """Sum of c * cell at key over (key, cell, c) terms, without zero entries."""
     out: Tensor = {}
     for key, cell, c in terms:
-        _add_into(out.setdefault(key, {}), cell.items(), c)
+        if c == -1:
+            _add_into(out.setdefault(key, {}), ((j, -v) for j, v in cell.items()))
+        else:
+            _add_into(out.setdefault(key, {}), cell.items(), c)
     return {key: cell for key, cell in out.items() if cell}
 
 
@@ -425,7 +389,8 @@ def contract(tensor: Tensor, slots: Sequence[Optional[Mapping[int, list]]]) -> T
             combos = [((), _ONE)]
             for j, index in zip(key, slots):
                 options = (((j,), _ONE),) if index is None else index.get(j, ())
-                combos = [(k + k2, c * c2) for k, c in combos for k2, c2 in options]
+                combos = [(k + k2, c2 if c is _ONE else c if c2 is _ONE else c * c2)
+                          for k, c in combos for k2, c2 in options]
             for k, c in combos:
                 yield k, cell, c
 
@@ -444,9 +409,9 @@ def _planar_tensor(s: OperadTree, algebra) -> Tensor:
 def tree_tensor(t: OperadTree, algebra) -> Tensor:
     """Structure tensor of a tree in ``algebra``, keyed by basis tuples in label order.
 
-    ``tree_tensor(t, a)[combo]`` is ``evaluate_tree(t, a, inputs)`` with
-    ``inputs[l-1]`` the basis vector ``combo[l-1]``, Koszul sign included;
-    ``algebra`` must provide ``tensor(name)`` and a graded ``basis``.
+    ``tree_tensor(t, a)[combo]`` is the value of ``t`` with the basis vector
+    ``combo[l-1]`` at the leaf labeled l, Koszul sign included; ``algebra``
+    must provide ``tensor(name)`` and a graded ``basis``.
     """
     order = t.planar_labels()
     by_label = sorted(range(len(order)), key=order.__getitem__)

@@ -1,7 +1,8 @@
 """Shared constructors for tests: catalog algebras, random complexes,
-random presymplectic structures, random associative dg algebras, and a
+random presymplectic structures, random associative dg algebras, a
 ``Fraction`` Gauss-Jordan reference for solving linear systems and for the
-maps that chain maps induce on homology.
+maps that chain maps induce on homology, and an element-wise reference
+evaluator of trees and of tensor contraction.
 
 Randomness is always driven by a caller-supplied ``random.Random`` so test
 runs are reproducible.  "Random" algebras are produced by conjugating
@@ -13,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 from opfield import operads
-from opfield.algebras import DgAlgebra, PresymplecticComplex
+from opfield.algebras import DgAlgebra, PresymplecticComplex, element_add, element_scale
 from opfield.complexes import ChainComplex, homology
 from opfield.exact import RationalMatrix, kernel_basis
 
@@ -188,6 +189,81 @@ def truncated_poisson_algebra() -> DgAlgebra:
                 pb[(i, j)] = cell
     return DgAlgebra(ChainComplex({0: 6}), "Pois",
                      {operads.MU: mu, operads.ETA: {0: Fraction(1)}, operads.PBRACKET: pb})
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator: trees applied to algebra elements one generator at a
+# time, independent of the structure tensors in opfield.operads
+# ---------------------------------------------------------------------------
+
+def element_degree(algebra, x):
+    """The degree of a homogeneous element of ``algebra``; None for zero."""
+    degs = {algebra.basis.degree_of(i) for i in x}
+    assert len(degs) <= 1, f"element is not homogeneous: degrees {sorted(degs)}"
+    return degs.pop() if degs else None
+
+
+def basis_elements(algebra) -> list:
+    return [algebra.basis_element(i) for i in range(algebra.basis.total)]
+
+
+def evaluate_tree(t, algebra, inputs):
+    """A tree on homogeneous elements: inputs read in planar label order,
+    with the Koszul sign of that reordering."""
+    assert t.arity == len(inputs), (t.arity, len(inputs))
+    order = t.planar_labels()
+    sign = operads.koszul_sign(order, [element_degree(algebra, x) or 0 for x in inputs])
+    queue = iter([inputs[l - 1] for l in order])
+
+    def walk(s):
+        if s.kind == "leaf":
+            return next(queue)
+        return algebra.apply_generator(s.gen, [walk(ch) for ch in s.children])
+
+    return element_scale(sign, walk(t))
+
+
+def evaluate(expr, algebra, inputs):
+    """A tree or a linear combination of trees on homogeneous elements."""
+    if isinstance(expr, operads.OperadTree):
+        return evaluate_tree(expr, algebra, inputs)
+    acc = {}
+    for t, c in expr.terms.items():
+        acc = element_add(acc, element_scale(c, evaluate_tree(t, algebra, inputs)))
+    return acc
+
+
+def reference_sum_cells(terms) -> dict:
+    """``operads._sum_cells`` with every coefficient multiplied in: new keys go
+    last, and a key whose sum reaches zero is deleted."""
+    out = {}
+    for key, cell, c in terms:
+        row = out.setdefault(key, {})
+        for j, v in cell.items():
+            total = row.get(j, 0) + c * v
+            if total:
+                row[j] = total
+            else:
+                row.pop(j, None)
+    return {key: cell for key, cell in out.items() if cell}
+
+
+def reference_combine(terms) -> dict:
+    return reference_sum_cells((key, cell, c) for tensor, c in terms for key, cell in tensor.items())
+
+
+def reference_contract(tensor, slots) -> dict:
+    """``operads.contract`` forming every product of combination coefficients."""
+    def terms():
+        for key, cell in tensor.items():
+            combos = [((), 1)]
+            for j, index in zip(key, slots):
+                options = [((j,), 1)] if index is None else index.get(j, ())
+                combos = [(k + k2, c * c2) for k, c in combos for k2, c2 in options]
+            for k, c in combos:
+                yield k, cell, c
+
+    return reference_sum_cells(terms())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from opfield import algebras, complexes, exact, jsonio
+import pytest
+
+from opfield import algebras, cli, complexes, exact, jsonio
 from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.cli import main
 from opfield.envelope import TruncatedEnvelope, ccr, filtration_dim
@@ -460,6 +462,30 @@ def test_quantize_on_a_target_that_fails_jacobi(tmp_path, capsys):
         "quantization broke causality: orthogonal pair ('f1', 'f2') fails on basis pair "
         "((0, 0), (0,)): (0,): 1, (1,): 1; orthogonal pair ('f2', 'f1') fails on basis pair "
         "((0,), (0, 0)): (0,): -1, (1,): -1")})
+
+
+@pytest.mark.parametrize("name, exc, verb, message", [
+    ("_load", ValueError("bad value"), "validate", "ValueError: bad value"),
+    ("homology_dims", KeyError("nope"), "homology", "KeyError: 'nope'"),
+])
+def test_unexpected_exceptions_exit_three_with_one_report(capsys, monkeypatch, name, exc, verb,
+                                                          message):
+    # any exception a command lets out becomes one internal_error report
+    def boom(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, name, boom)
+    assert main([verb, str(DATA / "circle_complex.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == jsonio.dumps({"internal_error": message})
+    assert captured.err == ""
+
+
+def test_unwritable_out_path_exits_two_with_one_report(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["homology", str(DATA / "circle_complex.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().out == jsonio.dumps(
+        {"error": f"{out}: cannot write the report: No such file or directory"})
 
 
 def with_zero_entries(adoc):

@@ -15,15 +15,16 @@ from opfield.algebras import (DgAlgebra, PresymplecticComplex, _derivation_defec
                               commutator_functor, element_add, element_scale, heisenberg,
                               is_algebra_morphism, push_element)
 from opfield.cherns import (SurfaceDiagram, SurfaceMorphism, build_bcs, octahedron_sphere,
-                            one_triangle_disk)
+                            one_triangle_disk, pairing)
 from opfield.complexes import ChainMap
-from opfield.exact import RationalMatrix
+from opfield.exact import _ONE, RationalMatrix
 from opfield.fieldtheory import (CausalityViolation, FieldTheory, OrthCategory,
                                  check_causality)
-from opfield.operads import RelationViolation, check_relations, evaluate
+from opfield.operads import RelationViolation, by_output, check_relations, combine, contract
 
-from support import (conjugate_algebra, exterior_square_dg, matrix_algebra, random_as_algebra,
-                     random_presymplectic, truncated_poisson_algebra)
+from support import (basis_elements, conjugate_algebra, evaluate, exterior_square_dg,
+                     matrix_algebra, random_as_algebra, random_presymplectic,
+                     reference_combine, reference_contract, truncated_poisson_algebra)
 
 
 def _tuples(count, length):
@@ -37,12 +38,12 @@ def _tuples(count, length):
 
 def reference_check_relations(p, algebra):
     violations = []
-    basis = algebra.basis_elements()
+    basis = basis_elements(algebra)
     for rel in p.relations:
         for combo in _tuples(len(basis), rel.arity or 0):
             inputs = [basis[i] for i in combo]
-            diff = algebra.add(evaluate(rel.lhs, algebra, inputs),
-                               algebra.scale(-1, evaluate(rel.rhs, algebra, inputs)))
+            diff = element_add(evaluate(rel.lhs, algebra, inputs),
+                               element_scale(-1, evaluate(rel.rhs, algebra, inputs)))
             if diff:
                 violations.append(RelationViolation(rel.name, combo, dict(diff)))
     return violations
@@ -273,3 +274,52 @@ def test_morphism_check_reports_broken_unit():
     issues = is_algebra_morphism(ChainMap.identity(a.carrier), a, b)
     assert "eta not intertwined at basis tuple ()" in issues
     assert issues == reference_is_algebra_morphism(ChainMap.identity(a.carrier), a, b)
+
+
+# coefficients as the shared _ONE, as 1 that is not _ONE, as -1 and as other rationals
+_COEFFS = [_ONE, _ONE, Fraction(1), Fraction(-1), Fraction(-1), Fraction(2), Fraction(-1, 3)]
+
+
+def _random_tensor(rng, arity, size):
+    tensor = {}
+    for _ in range(rng.randint(0, 8)):
+        key = tuple(rng.randrange(size) for _ in range(arity))
+        tensor[key] = {rng.randrange(size): rng.choice(_COEFFS) for _ in range(rng.randint(1, 3))}
+    return tensor
+
+
+def _ordered(tensor):
+    return [(key, list(cell.items())) for key, cell in tensor.items()]
+
+
+def test_contract_and_combine_match_the_multiplying_reference():
+    rng = Random(407)
+    nonzero = 0
+    for _ in range(300):
+        arity = rng.randint(0, 3)
+        outer = _random_tensor(rng, arity, 3)
+        slots = [None if rng.random() < 0.3 else by_output(_random_tensor(rng, rng.randint(0, 2), 3))
+                 for _ in range(arity)]
+        result = contract(outer, slots)
+        assert _ordered(result) == _ordered(reference_contract(outer, slots))
+        terms = [(result, rng.choice(_COEFFS)), (outer, Fraction(-1)),
+                 (_random_tensor(rng, arity, 3), rng.choice(_COEFFS))]
+        assert _ordered(combine(terms)) == _ordered(reference_combine(terms))
+        nonzero += bool(result)
+    assert nonzero >= 100
+
+
+def test_relation_check_multiplies_only_by_coefficients_other_than_one(monkeypatch):
+    # the 27-dimensional sphere algebra of the two-disks theory: combination
+    # coefficients of one are not multiplied in, and -1 is applied by negation
+    a = heisenberg(pairing(octahedron_sphere()))
+    products = [0]
+    multiply = Fraction.__mul__
+
+    def counted(x, y):
+        products[0] += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    assert check_relations(a.presentation, a) == []
+    assert products[0] <= 150
