@@ -324,7 +324,7 @@ def heisenberg(v: PresymplecticComplex) -> DgAlgebra:
     diffs = {}
     for n in set(c.diffs):
         m = c.d(n)
-        diffs[n] = RationalMatrix(dims.get(n - 1, 0), dims.get(n, 0), dict(m.entries))
+        diffs[n] = RationalMatrix._from_ints(dims.get(n - 1, 0), dims.get(n, 0), m._num, m._den)
     carrier = ChainComplex(dims, diffs)
     new_basis = GradedBasis(carrier)
     unit_global = new_basis.to_global(0, old_dim0)

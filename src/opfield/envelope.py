@@ -48,7 +48,7 @@ from .algebras import (DgAlgebra, Element, PresymplecticComplex, commutator_func
                        element_scale, heisenberg, is_algebra_morphism, push_element)
 from .complexes import ChainComplex, ChainMap
 from .errors import StructuralError, TruncationOverflow
-from .exact import _ONE, RationalMatrix, _add_into
+from .exact import _ONE, RationalMatrix, _add_into, _over_lcm
 
 Word = Tuple[int, ...]
 PBWElement = Dict[Word, Fraction]
@@ -325,7 +325,7 @@ class TruncatedEnvelope:
         for deg, entries in diffs.items():
             rows = dims.get(deg - 1, 0)
             if rows and entries:
-                matrices[deg] = RationalMatrix(rows, dims[deg], entries)
+                matrices[deg] = RationalMatrix._from_ints(rows, dims[deg], *_over_lcm(entries))
         complex_ = ChainComplex(dims, matrices)
         result = (complex_, by_degree, index)
         self._stage_cache[n] = result

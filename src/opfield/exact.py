@@ -1,13 +1,17 @@
 """Exact rational scalars and sparse linear algebra over the rationals.
 
 Everything downstream (homology, W-constancy, Chern-Simons pairings)
-reduces to two questions about sparse matrices with Fraction entries: a rank,
-and a canonical basis (the reduced row echelon form and the kernel read off
-it).  No floating point is used anywhere; all results are exact.
+reduces to two questions about sparse rational matrices: a rank, and a
+canonical basis (the reduced row echelon form and the kernel read off it).
+No floating point is used anywhere; all results are exact.
+
+A matrix stores integer numerators over one canonical denominator, so
+equality, hashing, sums and products (the ``d.d = 0`` check among them) run
+on ints; ``Fraction`` values appear only where a caller reads entries.
 
 One fraction-free elimination answers both questions.  It works on
-primitive integer rows: each row is cleared of denominators and divided by
-its content, and a row with entry ``f`` under a positive pivot ``pv``
+primitive integer rows: each row of numerators is divided by its content,
+and a row with entry ``f`` under a positive pivot ``pv``
 becomes ``(pv//g)*row - (f//g)*pivot_row`` (``g = gcd(pv, f)``).  Such a
 step only scales a row by a nonzero number and adds a multiple of the pivot
 row, so no Fraction, modulus or certificate is needed to stay exact.  The
@@ -94,34 +98,53 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _over_lcm(entries: Mapping) -> tuple:
+    """Zero-free int or Fraction entries as ``(numerators, lcm of the denominators)``."""
+    den = lcm(*(v.denominator for v in entries.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in entries.items()}, den
+
+
 Vector = tuple  # dense tuple of Fractions
 
 
 class RationalMatrix:
-    """Sparse matrix over the rationals, stored as (row, col) -> Fraction.
+    """Sparse matrix over the rationals, stored as integer numerators
+    ``(row, col) -> int`` over the lcm of the reduced entries' denominators.
 
-    Zero entries are never stored.  Instances must be treated as immutable;
-    all operations return new matrices.
+    Zero entries are never stored; ``entries`` and the readers built on it are
+    ``Fraction`` views.  Instances must be treated as immutable; all
+    operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rank", "_columns")
+    __slots__ = ("rows", "cols", "_num", "_den", "_entries", "_rank", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Mapping = ()):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
         clean = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r}, {c}) out of range for {rows}x{cols}")
-            v = rat(v)
+            if type(v) is not int:  # ints are read as they are, bools are refused
+                v = rat(v)
             if v:
                 clean[(r, c)] = v
-        self.entries = clean
-        self._rank = None
-        self._columns = None
+        self._fill(rows, cols, *_over_lcm(clean))
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, num: dict, den: int = 1) -> "RationalMatrix":
+        """``num / den``, unchecked: zero-free in-range int numerators, ``den > 0``."""
+        m = cls.__new__(cls)
+        m._fill(rows, cols, num, den)
+        return m
+
+    def _fill(self, rows: int, cols: int, num: dict, den: int) -> None:
+        g = gcd(den, *num.values()) if den != 1 else 1  # to the canonical denominator
+        if g != 1:
+            num, den = {k: v // g for k, v in num.items()}, den // g
+        self.rows, self.cols, self._num, self._den = rows, cols, num, den
+        self._entries = self._rank = self._columns = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -129,39 +152,35 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls._from_ints(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged row data")
-            for c, v in enumerate(row):
-                v = rat(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged row data")
+        return cls(len(data), cols, {(r, c): v for r, row in enumerate(data)
+                                     for c, v in enumerate(row)})
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: Optional[int] = None) -> "RationalMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in enumerate(col):
-                v = rat(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, len(columns), entries)
+        return cls(rows, len(columns), {(r, c): v for c, col in enumerate(columns)
+                                        for r, v in enumerate(col)})
+
+    @property
+    def entries(self) -> dict:
+        """The entries as ``(row, col) -> Fraction``; built once."""
+        if self._entries is None:
+            self._entries = {k: Fraction(v, self._den) for k, v in self._num.items()}
+        return self._entries
 
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), _ZERO)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._num
 
     def to_rows(self) -> list:
         data = [[_ZERO] * self.cols for _ in range(self.rows)]
@@ -170,7 +189,7 @@ class RationalMatrix:
         return data
 
     def _by_column(self) -> dict:
-        """The entries indexed by column, ``col -> [(row, value)]``; built once."""
+        """The entries indexed by column, ``col -> [(row, Fraction)]``; built once."""
         if self._columns is None:
             self._columns = {}
             for (r, c), v in self.entries.items():
@@ -180,62 +199,73 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return ((self.rows, self.cols, self._den, self._num)
+                == (other.rows, other.cols, other._den, other._num))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"RationalMatrix({self.rows}x{self.cols}, {len(self._num)} nonzero)"
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        entries = dict(self.entries)
-        _add_into(entries, other.entries.items())
-        return RationalMatrix(self.rows, self.cols, entries)
+        den = lcm(self._den, other._den)
+        num = {k: den // self._den * v for k, v in self._num.items()}
+        _add_into(num, other._num.items(), den // other._den)
+        return RationalMatrix._from_ints(self.rows, self.cols, num, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        return RationalMatrix._from_ints(self.rows, self.cols,
+                                         {k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, c) -> "RationalMatrix":
-        c = rat(c)
-        return RationalMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        p, q = rat(c).as_integer_ratio()
+        return RationalMatrix._from_ints(self.rows, self.cols,
+                                         {k: p * v for k, v in self._num.items()} if p else {},
+                                         self._den * q)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         by_row = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other._num.items():
             by_row.setdefault(r, []).append((c, v))
         rows = {}
-        for (r, k), v in self.entries.items():
+        for (r, k), v in self._num.items():
             terms = by_row.get(k)
             if terms:
-                _add_into(rows.setdefault(r, {}), terms, v)
-        return RationalMatrix(self.rows, other.cols,
-                              {(r, c): x for r, row in rows.items() for c, x in row.items()})
+                row = rows.setdefault(r, {})
+                for c, w in terms:
+                    row[c] = row.get(c, 0) + v * w
+        return RationalMatrix._from_ints(
+            self.rows, other.cols,
+            {(r, c): x for r, row in rows.items() for c, x in row.items() if x},
+            self._den * other._den)
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product with a dense vector."""
+        """Matrix-vector product with a dense vector of ints or Fractions."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = [_ZERO] * self.rows
-        for (r, c), a in self.entries.items():
+        den = lcm(*(x.denominator for x in v))
+        out = [0] * self.rows
+        for (r, c), a in self._num.items():
             x = v[c]
             if x:
-                out[r] += a * x
-        return tuple(out)
+                out[r] += a * x.numerator * (den // x.denominator)
+        return tuple(Fraction(x, den * self._den) for x in out)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r, c + self.cols)] = v
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        den = lcm(self._den, other._den)
+        num = {k: den // self._den * v for k, v in self._num.items()}
+        f = den // other._den
+        num.update(((r, c + self.cols), f * v) for (r, c), v in other._num.items())
+        return RationalMatrix._from_ints(self.rows, self.cols + other.cols, num, den)
 
     def _check_same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -243,19 +273,17 @@ class RationalMatrix:
 
 
 def _integer_rows(m: RationalMatrix, skip_rows: Iterable[int] = ()):
-    """The rows of ``m`` as primitive integer rows (times the lcm of their
-    denominators, over their content), and the index ``col -> set of rows``.
-    The rows ``skip_rows`` are loaded empty."""
+    """The rows of ``m``'s numerators as primitive integer rows (over their
+    content), and the index ``col -> set of rows``.  The rows ``skip_rows``
+    are loaded empty."""
     rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
+    for (r, c), v in m._num.items():
         rows[r][c] = v
     for r in skip_rows:
         rows[r] = {}
     colindex: dict = {}
     for ri, row in enumerate(rows):
-        den = lcm(*(v.denominator for v in row.values()))
-        for c, v in row.items():
-            row[c] = v.numerator * (den // v.denominator)
+        for c in row:
             colindex.setdefault(c, set()).add(ri)
         _divide_content(row)
     return rows, colindex
@@ -340,13 +368,14 @@ def rref(m: RationalMatrix):
     """
     rows, colindex = _integer_rows(m)
     pivots = _eliminate(rows, colindex, m.cols)
-    entries = {}
+    den = lcm(*(rows[ri][c] for c, ri in pivots))
+    num = {}
     for out_r, (c, ri) in enumerate(pivots):
         row = rows[ri]
-        pv = row[c]
+        f = den // row[c]
         for k, v in row.items():
-            entries[(out_r, k)] = Fraction(v, pv)
-    return len(pivots), [c for c, _ in pivots], RationalMatrix(m.rows, m.cols, entries)
+            num[(out_r, k)] = f * v
+    return len(pivots), [c for c, _ in pivots], RationalMatrix._from_ints(m.rows, m.cols, num, den)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -413,16 +442,15 @@ def kernel_basis(m: RationalMatrix) -> list:
     """
     nrank, pivot_cols, reduced = rref(m)
     pivot_set = set(pivot_cols)
+    columns = reduced._by_column()
     basis = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
         v = [_ZERO] * m.cols
         v[f] = _ONE
-        for i, p in enumerate(pivot_cols):
-            coeff = reduced.entry(i, f)
-            if coeff:
-                v[p] = -coeff
+        for i, coeff in columns.get(f, ()):
+            v[pivot_cols[i]] = -coeff
         basis.append(tuple(v))
     return basis
 

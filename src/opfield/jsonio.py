@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 from . import operads
@@ -47,7 +48,11 @@ _TENSOR_NAMES = {v: k for k, v in _TENSOR_KEYS.items()}
 
 
 def matrix_to_triplets(m: RationalMatrix) -> list:
-    return [[r, c, rat_str(v)] for (r, c), v in sorted(m.entries.items())]
+    out = []
+    for (r, c), v in sorted(m._num.items()):
+        g = gcd(v, m._den)
+        out.append([r, c, str(v // g) if g == m._den else f"{v // g}/{m._den // g}"])
+    return out
 
 
 def _index(value) -> int:
@@ -108,6 +113,10 @@ def _degrees(obj, path: str) -> list:
     return out
 
 
+# "p" or "p/q" in ASCII digits, q nonzero: read as ints, every other value by ``rat``
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?").fullmatch
+
+
 def matrix_from_triplets(rows: int, cols: int, triplets, where: str) -> RationalMatrix:
     """Parse ``[row, col, "p/q"]`` triplets; errors name ``where[i]``."""
     if not isinstance(triplets, list):
@@ -117,7 +126,8 @@ def matrix_from_triplets(rows: int, cols: int, triplets, where: str) -> Rational
         try:
             r, c, v = triplet
             key = (_index(r), _index(c))
-            value = rat(v)
+            plain = type(v) is str and _PLAIN(v)
+            value = (int(plain[1]), int(plain[2] or 1)) if plain else rat(v).as_integer_ratio()
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"{where}[{i}]: {exc}") from None
         if not (0 <= key[0] < rows and 0 <= key[1] < cols):
@@ -126,7 +136,9 @@ def matrix_from_triplets(rows: int, cols: int, triplets, where: str) -> Rational
         if key in entries:
             raise _repeated(where, triplets, i, key)
         entries[key] = value
-    return RationalMatrix(rows, cols, entries)
+    den = lcm(*(q for _, q in entries.values()))
+    return RationalMatrix._from_ints(
+        rows, cols, {k: p * (den // q) for k, (p, q) in entries.items() if p}, den)
 
 
 def complex_to_json(c: ChainComplex) -> dict:

@@ -1,8 +1,9 @@
 """Shared constructors for tests: catalog algebras, random complexes,
-random presymplectic structures, random associative dg algebras, a
-``Fraction`` Gauss-Jordan reference for solving linear systems and for the
-maps that chain maps induce on homology, and an element-wise reference
-evaluator of trees and of tensor contraction.
+random presymplectic structures, random associative dg algebras, the
+``Fraction`` arithmetic of sparse matrices, a ``Fraction`` Gauss-Jordan
+reference for solving linear systems and for the maps that chain maps induce
+on homology, and an element-wise reference evaluator of trees and of tensor
+contraction.
 
 Randomness is always driven by a caller-supplied ``random.Random`` so test
 runs are reproducible.  "Random" algebras are produced by conjugating
@@ -11,6 +12,7 @@ defining identities exactly.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 from opfield import operads
@@ -264,6 +266,72 @@ def reference_contract(tensor, slots) -> dict:
                 yield k, cell, c
 
     return reference_sum_cells(terms())
+
+
+# ---------------------------------------------------------------------------
+# reference sparse matrices: zero-free ``(row, col) -> Fraction`` dicts and
+# their Fraction arithmetic, against which RationalMatrix's integer
+# numerators over one denominator are checked
+# ---------------------------------------------------------------------------
+
+def reference_matmul(a: dict, b: dict) -> dict:
+    by_row = {}
+    for (r, c), v in b.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in by_row.get(k, ()):
+            out[(r, c)] = out.get((r, c), 0) + v * w
+    return {key: x for key, x in out.items() if x}
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + v
+    return {key: x for key, x in out.items() if x}
+
+
+def reference_hstack(a: dict, a_cols: int, b: dict) -> dict:
+    return {**a, **{(r, a_cols + c): v for (r, c), v in b.items()}}
+
+
+def reference_apply(rows: int, entries: dict, v) -> tuple:
+    out = [Fraction(0)] * rows
+    for (r, c), a in entries.items():
+        out[r] += a * v[c]
+    return tuple(out)
+
+
+def reference_to_rows(rows: int, cols: int, entries: dict) -> list:
+    return [[entries.get((r, c), Fraction(0)) for c in range(cols)] for r in range(rows)]
+
+
+def reference_by_column(entries: dict) -> dict:
+    out = {}
+    for (r, c), v in entries.items():
+        out.setdefault(c, []).append((r, v))
+    return out
+
+
+def reference_integer_rows(rows: int, entries: dict) -> list:
+    """Each row times the lcm of its denominators, over the gcd of the result."""
+    out = [{} for _ in range(rows)]
+    for (r, c), v in entries.items():
+        out[r][c] = v
+    for i, row in enumerate(out):
+        den = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        g = gcd(*ints.values())
+        out[i] = {c: x // g for c, x in ints.items()}
+    return out
+
+
+def reference_validate_complex(c: ChainComplex) -> list:
+    """The degrees where d.d is nonzero, by Fraction products."""
+    degrees = sorted(set(c.dims) | {n - 1 for n in c.dims})
+    return [f"d_{n} . d_{n + 1} != 0" for n in degrees
+            if reference_matmul(dict(c.d(n).entries), dict(c.d(n + 1).entries))]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,18 @@ def test_torus_quantized_at_three_has_the_homology_of_sym_three(capsys):
         "truncation": 3})
 
 
+@pytest.mark.slow
+def test_torus_quantized_at_four_has_the_homology_of_sym_four(capsys):
+    # the next scale target, a stage of 383041 dimensions: Sym^{<=4} H(V)
+    surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
+    stage_dims = filtration_dim(algebras.heisenberg(pairing(surface)), 4)
+    assert sum(stage_dims.values()) == 383041
+    assert main(["cs", "quantize", str(DATA / "torus9.json"), "--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stage_dims"] == {str(k): v for k, v in stage_dims.items()}
+    assert {n: d for n, d in report["homology"].items() if d} == {"-1": 10, "0": 21, "1": 10}
+
+
 def test_homotopy_check_w_runs_on_ranks_only(tmp_path, capsys, monkeypatch):
     # quasi-isomorphisms are decided by mapping-cone ranks, and homology
     # reports by ranks: no canonical elimination or homology representatives
@@ -162,6 +175,27 @@ def test_homotopy_check_w_runs_on_ranks_only(tmp_path, capsys, monkeypatch):
     for argv, code, report in jobs:
         assert main(argv) == code, argv
         assert capsys.readouterr().out == jsonio.dumps(report), argv
+
+
+def test_stage_homology_runs_without_fraction_arithmetic(tmp_path, capsys, monkeypatch):
+    # parsing, the d.d check and the ranks of a stage file all run on the
+    # integer numerators: no Fraction is added or multiplied
+    surface = jsonio.surface_from_json(json.loads((DATA / "torus9.json").read_text()))
+    stage = tmp_path / "torus9-stage-n2.json"
+    stage.write_text(jsonio.dumps(jsonio.complex_to_json(ccr(pairing(surface), 2).stage_complex())))
+    report = jsonio.dumps({"homology": {"-1": 3, "-2": 0, "0": 7, "1": 3, "2": 0}})
+    assert main(["homology", str(stage)]) == 0
+    assert capsys.readouterr().out == report
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(x, y, op=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return op(x, y)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert main(["homology", str(stage)]) == 0
+    assert capsys.readouterr().out == report
+    assert calls == []
 
 
 def test_check_causality_verb(capsys):

@@ -14,11 +14,12 @@ from opfield import exact
 from opfield.algebras import PresymplecticComplex
 from opfield.cherns import SurfaceDiagram, build_bcs, collar_inclusion, pairing
 from opfield.complexes import (ChainComplex, ChainMap, homology, homology_dim, homology_dims,
-                               is_quasi_iso, mapping_cone)
+                               is_quasi_iso, mapping_cone, validate_complex)
 from opfield.envelope import ccr
 from opfield.exact import RationalMatrix, kernel_basis, rank, rat, rat_str, rref
 from opfield.fieldtheory import quantize
 from opfield.jsonio import presymplectic_from_json, surface_from_json, theory_from_json
+import support
 from support import (random_complex, reference_eliminate, reference_rows, reference_solve,
                      reference_solve_many)
 
@@ -425,6 +426,106 @@ def test_rank_and_rref_agree_whichever_is_cached_first():
         rref_first = fresh(m)
         assert rref(rref_first) == expected
         assert rank(rref_first) == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction dict arithmetic of ``support``
+
+DENOMINATORS = ((1,), (2,), (1, 2, 3), (4, 6, 9), (5, 7, 35), (1, 1, 12))
+
+
+def random_entries(rng, rows, cols):
+    """A zero-free Fraction dict over one of ``DENOMINATORS``; all zero at times."""
+    dens = rng.choice(DENOMINATORS)
+    density = rng.choice((0.0, 0.3, 0.6, 1.0))
+    entries = {(r, c): Fraction(rng.randint(-6, 6), rng.choice(dens))
+               for r in range(rows) for c in range(cols) if rng.random() < density}
+    return {k: v for k, v in entries.items() if v}
+
+
+def reference_matrix_cases():
+    """``(rows, cols, entries)``: random shapes with mixed denominators, and
+    all-zero, 0 x n, n x 0 and 0 x 0 matrices."""
+    rng = Random(2401)
+    cases = [(3, 4, {}), (0, 5, {}), (5, 0, {}), (0, 0, {})]
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        cases.append((rows, cols, random_entries(rng, rows, cols)))
+    return cases
+
+
+def test_integer_core_matches_the_fraction_reference():
+    rng = Random(2402)
+    scalars = (0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 4), "7/14")
+    for rows, cols, entries in reference_matrix_cases():
+        m = RationalMatrix(rows, cols, entries)
+        assert m.entries == entries
+        assert [[m.entry(r, c) for c in range(cols)] for r in range(rows)] \
+            == m.to_rows() == support.reference_to_rows(rows, cols, entries)
+        assert m._by_column() == support.reference_by_column(entries)
+        assert m.is_zero() == (not entries)
+        assert (-m).entries == {k: -v for k, v in entries.items()}
+        for s in scalars:
+            s = rat(s)
+            assert m.scale(s).entries == {k: s * v for k, v in entries.items() if s}
+        for v in ([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)],
+                  [rng.randint(-3, 3) for _ in range(cols)]):
+            assert m.apply(v) == support.reference_apply(rows, entries, v)
+        assert exact._integer_rows(m)[0] == support.reference_integer_rows(rows, entries)
+        assert rank(fresh(m)) == reference_rref(m)[0]
+        assert rref(fresh(m)) == reference_rref(m)
+        assert kernel_basis(fresh(m)) == reference_kernel(m)
+        inner = rng.randint(0, 5)
+        other = random_entries(rng, cols, inner)
+        assert (m @ RationalMatrix(cols, inner, other)).entries \
+            == support.reference_matmul(entries, other)
+        other = random_entries(rng, rows, cols)
+        assert (m + RationalMatrix(rows, cols, other)).entries \
+            == support.reference_add(entries, other)
+        assert (m - RationalMatrix(rows, cols, other)).entries \
+            == support.reference_add(entries, {k: -v for k, v in other.items()})
+        other = random_entries(rng, rows, inner)
+        assert m.hstack(RationalMatrix(rows, inner, other)).entries \
+            == support.reference_hstack(entries, cols, other)
+
+
+def test_equal_matrices_built_different_ways_hash_equal():
+    one = RationalMatrix.identity(3)
+    product = one.scale(Fraction(1, 2)) @ one.scale(2)  # the denominator cancels
+    assert product == one and hash(product) == hash(one)
+    for rows, cols, entries in reference_matrix_cases():
+        m = RationalMatrix(rows, cols, entries)
+        ways = [
+            RationalMatrix(rows, cols, {k: rat_str(v) for k, v in reversed(entries.items())}),
+            RationalMatrix.from_rows(m.to_rows()) if rows else m,
+            m.scale(Fraction(3, 7)).scale(Fraction(7, 3)),
+            -(-m),
+            m + RationalMatrix.zero(rows, cols),
+            (m + m) - m,
+            m @ RationalMatrix.identity(cols),
+            RationalMatrix.identity(rows) @ m,
+            m.hstack(RationalMatrix.zero(rows, 0)),
+        ]
+        for other in ways:
+            assert other == m and hash(other) == hash(m), (m, other)
+    assert RationalMatrix(1, 1, {(0, 0): 1}) != RationalMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+
+
+def test_validate_complex_matches_the_fraction_reference():
+    rng = Random(2403)
+    failing = []
+    for _ in range(40):
+        c = random_complex(rng)
+        diffs = dict(c.diffs)
+        for n in c.support:
+            # break d.d = 0 in most degrees, over mixed denominators
+            rows, cols = c.dim(n - 1), c.dim(n)
+            diffs[n] = c.d(n) + RationalMatrix(rows, cols, random_entries(rng, rows, cols))
+        broken = ChainComplex(c.dims, diffs)
+        assert validate_complex(c) == []
+        assert validate_complex(broken) == support.reference_validate_complex(broken)
+        failing.append(len(validate_complex(broken)))
+    assert sum(failing) > 30 and sum(k > 1 for k in failing) > 10
 
 
 # ---------------------------------------------------------------------------

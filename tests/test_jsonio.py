@@ -84,3 +84,33 @@ def test_dumps_is_stable():
     doc = {"b": 1, "a": {"z": "2/3", "y": [1, 2]}}
     assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))
     assert jsonio.dumps(doc).endswith("\n")
+
+
+def one_entry_complex(value) -> dict:
+    return {"dims": {"0": 1, "1": 1}, "d": {"1": [[0, 0, value]]}}
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("+3", Fraction(3)), (" 3 ", Fraction(3)), ("1.5", Fraction(3, 2)), ("1e2", Fraction(100)),
+    ("1_000", Fraction(1000)), ("٣", Fraction(3)), ("6/4", Fraction(3, 2)),
+    ("3/04", Fraction(3, 4)), ("-0", None), (3, Fraction(3)), ("-7/21", Fraction(-1, 3)),
+])
+def test_matrix_values_parse_to_their_rational(value, expected):
+    c = jsonio.complex_from_json(one_entry_complex(value))
+    assert c.d(1).entries == ({} if expected is None else {(0, 0): expected})
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1/0", "Fraction(1, 0)"), ("1/00", "Fraction(1, 0)"),
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("1/2/3", "Invalid literal for Fraction: '1/2/3'"),
+    ("2 / 3", "Invalid literal for Fraction: '2 / 3'"),
+    ("0x10", "Invalid literal for Fraction: '0x10'"),
+    (True, "cannot interpret True as a rational number"),
+    (1.5, "cannot interpret 1.5 as a rational number"),
+    (None, "cannot interpret None as a rational number"),
+])
+def test_matrix_values_that_are_not_rationals_are_located(value, message):
+    with pytest.raises(StructuralError) as err:
+        jsonio.complex_from_json(one_entry_complex(value))
+    assert str(err.value) == f"d.1[0]: {message}"
